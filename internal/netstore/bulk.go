@@ -20,7 +20,7 @@ type BulkMembership struct {
 }
 
 // bulkKey identifies one set-key composite within a set occurrence, the
-// hash form of the duplicate check StoreWith performs by scanning.
+// hash form of the duplicate check StoreWith performs by binary search.
 type bulkKey struct {
 	set   string
 	owner RecordID
@@ -41,8 +41,9 @@ type bulkKey struct {
 //     list, which reproduces insertOrdered's ascending-keys,
 //     insertion-order-among-equals placement;
 //   - the §4.2 duplicate-key check is a hash probe on the composite
-//     key form instead of a CompareBy scan (equivalent, because stored
-//     values of one field are kind-checked to a single kind and
+//     key form, because member lists stay unsorted until Close and
+//     StoreWith's binary search needs them sorted (equivalent, because
+//     stored values of one field are kind-checked to a single kind and
 //     value.Key normalizes integral floats);
 //   - occurrences are slab-allocated and the record table is pre-sized.
 //
@@ -52,6 +53,7 @@ type bulkKey struct {
 type BulkLoader struct {
 	db      *DB
 	slab    []occurrence
+	links   []setLink
 	dup     map[bulkKey]struct{}
 	touched map[string]struct{}
 	pending []bulkKey
@@ -96,6 +98,21 @@ func (b *BulkLoader) alloc() *occurrence {
 	o := &b.slab[0]
 	b.slab = b.slab[1:]
 	return o
+}
+
+// allocLinks carves an empty link list with room for n links out of
+// the loader's link slab. The window's capacity is capped at n, so a
+// later CONNECT reallocates instead of overrunning the next record's.
+func (b *BulkLoader) allocLinks(n int) []setLink {
+	if n == 0 {
+		return nil
+	}
+	if cap(b.links)-len(b.links) < n {
+		b.links = make([]setLink, 0, max(n, bulkSlabSize))
+	}
+	lo := len(b.links)
+	b.links = b.links[:lo+n]
+	return b.links[lo : lo : lo+n]
 }
 
 // Store inserts a record through the bulk path with the same contract —
@@ -169,14 +186,14 @@ func (b *BulkLoader) StorePrepared(typ *schema.RecordType, data *value.Record, t
 	o.id = db.nextID
 	o.typ = typ
 	o.data = data
-	o.memberOf = make(map[string]RecordID, len(targets))
+	o.links = b.allocLinks(len(targets))
 	db.nextID++
 	db.recs[o.id] = o
 	db.byType[typ.Name] = append(db.byType[typ.Name], o.id)
 	b.touched[typ.Name] = struct{}{}
 	for _, tg := range targets {
 		db.members[tg.Set.Name][tg.Owner] = append(db.members[tg.Set.Name][tg.Owner], o.id)
-		o.memberOf[tg.Set.Name] = tg.Owner
+		o.links = append(o.links, setLink{tg.Set.Name, tg.Owner})
 	}
 	for _, k := range b.pending {
 		b.dup[k] = struct{}{}

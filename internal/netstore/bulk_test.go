@@ -34,13 +34,10 @@ func dumpState(db *DB) string {
 				fmt.Fprintf(&b, "%s=%s", f.Name, v.String())
 			}
 			b.WriteString("}")
-			sets := make([]string, 0, len(o.memberOf))
-			for s := range o.memberOf {
-				sets = append(sets, s)
-			}
-			sort.Strings(sets)
-			for _, s := range sets {
-				fmt.Fprintf(&b, " %s<-#%d", s, o.memberOf[s])
+			links := append([]setLink(nil), o.links...)
+			sort.Slice(links, func(i, j int) bool { return links[i].set < links[j].set })
+			for _, l := range links {
+				fmt.Fprintf(&b, " %s<-#%d", l.set, l.owner)
 			}
 			b.WriteString("\n")
 		}

@@ -19,10 +19,42 @@ type occurrence struct {
 	id   RecordID
 	typ  *schema.RecordType
 	data *value.Record // stored fields only
-	// memberOf maps set type name to the owner occurrence of the set
-	// occurrence this record is connected into (systemOwner for SYSTEM
-	// sets). Absent key = not connected.
-	memberOf map[string]RecordID
+	// links names the set occurrences this record is connected into, at
+	// most one per set type. Schemas give a record type one or two
+	// member sets, so a short slice beats a map on both lookup and
+	// footprint.
+	links []setLink
+}
+
+// setLink connects a record into one set occurrence: the set type's
+// name and the owner occurrence (systemOwner for SYSTEM sets).
+type setLink struct {
+	set   string
+	owner RecordID
+}
+
+// ownerIn returns the owner of the set occurrence the record is
+// connected into within set, and whether it is connected at all.
+func (o *occurrence) ownerIn(set string) (RecordID, bool) {
+	for _, l := range o.links {
+		if l.set == set {
+			return l.owner, true
+		}
+	}
+	return 0, false
+}
+
+// unlink drops the record's link into set, if any.
+func (o *occurrence) unlink(set string) {
+	for i, l := range o.links {
+		if l.set == set {
+			n := len(o.links) - 1
+			copy(o.links[i:], o.links[i+1:])
+			o.links[n] = setLink{} // don't retain the set name past the tail
+			o.links = o.links[:n]
+			return
+		}
+	}
 }
 
 // DB is an in-memory CODASYL database instance. Navigation state lives in
@@ -191,7 +223,7 @@ func (db *DB) DataInto(id RecordID, out *value.Record) bool {
 }
 
 func (db *DB) resolveVirtual(o *occurrence, f *schema.Field) value.Value {
-	ownerID, connected := o.memberOf[f.Virtual.ViaSet]
+	ownerID, connected := o.ownerIn(f.Virtual.ViaSet)
 	if !connected || ownerID == systemOwner {
 		return value.NullValue()
 	}
@@ -232,8 +264,25 @@ func (db *DB) OwnerOf(set string, id RecordID) (RecordID, bool) {
 	if !ok {
 		return 0, false
 	}
-	owner, connected := o.memberOf[set]
-	return owner, connected
+	return o.ownerIn(set)
+}
+
+// Keyed member lists — the occurrence lists of sets with keys — are
+// kept in ascending set-key order (value.CompareBy over set.Keys),
+// insertion order among equals. Every writer preserves it:
+// insertOrdered places by binary search, BulkLoader.Close stable-sorts,
+// Clone copies, and MODIFY removes a record under its old keys before
+// re-inserting it under the new ones. Stored key values of one field
+// share a single kind (StoreWith, STORE and MODIFY kind-check them), so
+// CompareBy is a total order on them and the lookups below may binary
+// search.
+
+// lowerBound returns the first position in the keyed member list lst
+// whose record sorts at or after data.
+func (db *DB) lowerBound(lst []RecordID, data *value.Record, keys []string) int {
+	return sort.Search(len(lst), func(i int) bool {
+		return value.CompareBy(db.recs[lst[i]].data, data, keys) >= 0
+	})
 }
 
 // insertOrdered connects member into the occurrence list keeping the set
@@ -255,30 +304,57 @@ func (db *DB) insertOrdered(set *schema.SetType, owner RecordID, member *occurre
 	db.members[set.Name][owner] = lst
 }
 
-func (db *DB) removeMember(set string, owner RecordID, id RecordID) {
-	lst := db.members[set][owner]
-	for i, m := range lst {
-		if m == id {
-			copy(lst[i:], lst[i+1:])
-			lst[len(lst)-1] = 0 // clear the tail so the backing array can't alias
-			db.members[set][owner] = lst[:len(lst)-1]
-			return
+// memberPos returns m's position in lst, the member list of one
+// occurrence of set, or -1 when m is not in it. A keyed list is binary
+// searched for m's keys and only the run of equal keys is scanned for
+// its ID; m.data must be the data m was inserted under.
+func (db *DB) memberPos(set *schema.SetType, lst []RecordID, m *occurrence) int {
+	if len(set.Keys) == 0 {
+		for i, id := range lst {
+			if id == m.id {
+				return i
+			}
+		}
+		return -1
+	}
+	for i := db.lowerBound(lst, m.data, set.Keys); i < len(lst); i++ {
+		if lst[i] == m.id {
+			return i
+		}
+		if value.CompareBy(db.recs[lst[i]].data, m.data, set.Keys) != 0 {
+			break
 		}
 	}
+	return -1
+}
+
+func (db *DB) removeMember(set *schema.SetType, owner RecordID, m *occurrence) {
+	lst := db.members[set.Name][owner]
+	i := db.memberPos(set, lst, m)
+	if i < 0 {
+		return
+	}
+	copy(lst[i:], lst[i+1:])
+	lst[len(lst)-1] = 0 // clear the tail so the backing array can't alias
+	db.members[set.Name][owner] = lst[:len(lst)-1]
 }
 
 // duplicateInOcc reports whether the set occurrence owned by owner already
-// holds a member with the same set-key values ("duplicates are not allowed
-// within a set occurrence", §4.2).
+// holds a member other than exclude with the same set-key values
+// ("duplicates are not allowed within a set occurrence", §4.2). Equal
+// keys form one contiguous run of the ordered list, found by binary
+// search.
 func (db *DB) duplicateInOcc(set *schema.SetType, owner RecordID, data *value.Record, exclude RecordID) bool {
 	if len(set.Keys) == 0 {
 		return false
 	}
-	for _, m := range db.members[set.Name][owner] {
-		if m == exclude {
-			continue
+	lst := db.members[set.Name][owner]
+	for i := db.lowerBound(lst, data, set.Keys); i < len(lst); i++ {
+		m := db.recs[lst[i]]
+		if value.CompareBy(m.data, data, set.Keys) != 0 {
+			break
 		}
-		if value.CompareBy(db.recs[m].data, data, set.Keys) == 0 {
+		if m.id != exclude {
 			return true
 		}
 	}
@@ -288,26 +364,26 @@ func (db *DB) duplicateInOcc(set *schema.SetType, owner RecordID, data *value.Re
 // connect wires member into set under owner, preserving ordering, after
 // the duplicate check. Callers have validated set membership types.
 func (db *DB) connect(set *schema.SetType, owner RecordID, member *occurrence) Status {
-	if _, already := member.memberOf[set.Name]; already {
+	if _, already := member.ownerIn(set.Name); already {
 		return AlreadyMember
 	}
 	if db.duplicateInOcc(set, owner, member.data, -1) {
 		return DuplicateInSet
 	}
 	db.insertOrdered(set, owner, member)
-	member.memberOf[set.Name] = owner
+	member.links = append(member.links, setLink{set.Name, owner})
 	return OK
 }
 
 // disconnect unwires member from the set; retention is the caller's
 // concern (ERASE bypasses it, DISCONNECT enforces it).
-func (db *DB) disconnect(set string, member *occurrence) {
-	owner, connected := member.memberOf[set]
+func (db *DB) disconnect(set *schema.SetType, member *occurrence) {
+	owner, connected := member.ownerIn(set.Name)
 	if !connected {
 		return
 	}
-	db.removeMember(set, owner, member.id)
-	delete(member.memberOf, set)
+	db.removeMember(set, owner, member)
+	member.unlink(set.Name)
 }
 
 // eraseOccurrence removes the record and recursively applies retention
@@ -325,22 +401,22 @@ func (db *DB) eraseOccurrence(o *occurrence) {
 			if set.Retention == schema.Mandatory {
 				db.eraseOccurrence(m)
 			} else {
-				db.disconnect(set.Name, m)
+				db.disconnect(set, m)
 			}
 		}
 		delete(db.members[set.Name], o.id)
 	}
-	for set := range o.memberOf {
-		db.disconnect(set, o)
+	for _, l := range o.links {
+		db.removeMember(db.schema.Set(l.set), l.owner, o)
 	}
+	o.links = nil
+	// byType lists ascend by ID: IDs are assigned monotonically and
+	// removals keep relative order.
 	lst := db.byType[o.typ.Name]
-	for i, id := range lst {
-		if id == o.id {
-			copy(lst[i:], lst[i+1:])
-			lst[len(lst)-1] = 0 // clear the tail so the backing array can't alias
-			db.byType[o.typ.Name] = lst[:len(lst)-1]
-			break
-		}
+	if i := sort.Search(len(lst), func(i int) bool { return lst[i] >= o.id }); i < len(lst) && lst[i] == o.id {
+		copy(lst[i:], lst[i+1:])
+		lst[len(lst)-1] = 0 // clear the tail so the backing array can't alias
+		db.byType[o.typ.Name] = lst[:len(lst)-1]
 	}
 	db.indexRemove(o)
 	delete(db.recs, o.id)
@@ -406,10 +482,10 @@ func (db *DB) StoreWith(recType string, rec *value.Record, memberships map[strin
 		targets = append(targets, target{set, owner})
 	}
 	o := &occurrence{
-		id:       db.nextID,
-		typ:      typ,
-		data:     data,
-		memberOf: make(map[string]RecordID),
+		id:    db.nextID,
+		typ:   typ,
+		data:  data,
+		links: make([]setLink, 0, len(targets)),
 	}
 	db.nextID++
 	db.recs[o.id] = o
@@ -417,7 +493,7 @@ func (db *DB) StoreWith(recType string, rec *value.Record, memberships map[strin
 	db.indexAdd(o)
 	for _, tg := range targets {
 		db.insertOrdered(tg.set, tg.owner, o)
-		o.memberOf[tg.set.Name] = tg.owner
+		o.links = append(o.links, setLink{tg.set.Name, tg.owner})
 	}
 	return o.id, nil
 }
@@ -427,15 +503,22 @@ func (db *DB) StoreWith(recType string, rec *value.Record, memberships map[strin
 func (db *DB) Clone() *DB {
 	c := NewDB(db.schema.Clone())
 	c.nextID = db.nextID
+	// All links share one slab; each record's window is capped at its
+	// own length, so a later CONNECT reallocates instead of overrunning
+	// a neighbour.
+	nLinks := 0
+	for _, o := range db.recs {
+		nLinks += len(o.links)
+	}
+	slab := make([]setLink, 0, nLinks)
 	for id, o := range db.recs {
+		lo := len(slab)
+		slab = append(slab, o.links...)
 		c.recs[id] = &occurrence{
-			id:       o.id,
-			typ:      c.schema.Record(o.typ.Name),
-			data:     o.data.Clone(),
-			memberOf: make(map[string]RecordID, len(o.memberOf)),
-		}
-		for s, owner := range o.memberOf {
-			c.recs[id].memberOf[s] = owner
+			id:    o.id,
+			typ:   c.schema.Record(o.typ.Name),
+			data:  o.data.Clone(),
+			links: slab[lo:len(slab):len(slab)],
 		}
 	}
 	for t, ids := range db.byType {

@@ -301,3 +301,281 @@ func TestRandomSequencesWithManualOptionalSets(t *testing.T) {
 		checkInvariants(t, db)
 	}
 }
+
+// keyedSchema has one keyed set per key shape the binary searches must
+// order: an int key (ALL-GRP), a string key (BY-NAME, AUTOMATIC
+// MANDATORY, so ERASE of a group cascades), a second int key over the
+// same member (BY-RANK, MANUAL OPTIONAL) and a composite key led by a
+// mostly-null field (BY-TAG, a MANUAL OPTIONAL SYSTEM set).
+func keyedSchema() *schema.Network {
+	return &schema.Network{
+		Name: "KEYED",
+		Records: []*schema.RecordType{
+			{Name: "GRP", Fields: []schema.Field{{Name: "G-ID", Kind: value.Int}}},
+			{Name: "ITEM", Fields: []schema.Field{
+				{Name: "NAME", Kind: value.String},
+				{Name: "RANK", Kind: value.Int},
+				{Name: "TAG", Kind: value.String},
+			}},
+		},
+		Sets: []*schema.SetType{
+			{Name: "ALL-GRP", Owner: schema.SystemOwner, Member: "GRP", Keys: []string{"G-ID"},
+				Insertion: schema.Automatic, Retention: schema.Mandatory},
+			{Name: "BY-NAME", Owner: "GRP", Member: "ITEM", Keys: []string{"NAME"},
+				Insertion: schema.Automatic, Retention: schema.Mandatory},
+			{Name: "BY-RANK", Owner: "GRP", Member: "ITEM", Keys: []string{"RANK"},
+				Insertion: schema.Manual, Retention: schema.Optional},
+			{Name: "BY-TAG", Owner: schema.SystemOwner, Member: "ITEM", Keys: []string{"TAG", "RANK"},
+				Insertion: schema.Manual, Retention: schema.Optional},
+		},
+	}
+}
+
+// randomItem draws an ITEM from small value pools, so keys collide
+// often; TAG is null most of the time.
+func randomItem(rng *rand.Rand) *value.Record {
+	rec := value.FromPairs(
+		"NAME", fmt.Sprintf("N%02d", rng.Intn(30)),
+		"RANK", int64(rng.Intn(40)))
+	if rng.Intn(5) < 3 {
+		rec.Set("TAG", value.NullValue())
+	} else {
+		rec.Set("TAG", value.Str(fmt.Sprintf("T%d", rng.Intn(4))))
+	}
+	return rec
+}
+
+// scanDuplicateInOcc is the linear scan duplicateInOcc replaced, kept as
+// its oracle: any member other than exclude with equal set keys.
+func scanDuplicateInOcc(db *DB, set *schema.SetType, owner RecordID, data *value.Record, exclude RecordID) bool {
+	if len(set.Keys) == 0 {
+		return false
+	}
+	for _, m := range db.members[set.Name][owner] {
+		if m != exclude && value.CompareBy(db.recs[m].data, data, set.Keys) == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// checkKeyedOrder asserts that every keyed member list is sorted by
+// CompareBy over the set's keys and that memberPos finds each member
+// at its index.
+func checkKeyedOrder(t *testing.T, db *DB, op string) {
+	t.Helper()
+	for _, set := range db.schema.Sets {
+		if len(set.Keys) == 0 {
+			continue
+		}
+		for owner, lst := range db.members[set.Name] {
+			for i, id := range lst {
+				m := db.recs[id]
+				if i > 0 && value.CompareBy(db.recs[lst[i-1]].data, m.data, set.Keys) > 0 {
+					t.Fatalf("after %s: set %s owner %d out of key order at %d", op, set.Name, owner, i)
+				}
+				if p := db.memberPos(set, lst, m); p != i {
+					t.Fatalf("after %s: set %s owner %d: memberPos(#%d) = %d, want %d", op, set.Name, owner, id, p, i)
+				}
+			}
+		}
+	}
+}
+
+// checkDuplicateOracle probes duplicateInOcc against the scan oracle in
+// every keyed occurrence: each member's own keys with and without
+// excluding itself (MODIFY's exclude-self case), each member's keys
+// moved onto its neighbour's (a MODIFY onto an occupied value), and a
+// fresh random record.
+func checkDuplicateOracle(t *testing.T, db *DB, rng *rand.Rand, op string) {
+	t.Helper()
+	probe := func(set *schema.SetType, owner RecordID, data *value.Record, exclude RecordID) {
+		t.Helper()
+		got := db.duplicateInOcc(set, owner, data, exclude)
+		if want := scanDuplicateInOcc(db, set, owner, data, exclude); got != want {
+			t.Fatalf("after %s: duplicateInOcc(%s, %d, %v, %d) = %v, scan says %v",
+				op, set.Name, owner, data, exclude, got, want)
+		}
+	}
+	for _, set := range db.schema.Sets {
+		if len(set.Keys) == 0 {
+			continue
+		}
+		for owner, lst := range db.members[set.Name] {
+			for i, id := range lst {
+				m := db.recs[id]
+				probe(set, owner, m.data, -1)
+				probe(set, owner, m.data, id)
+				if i > 0 {
+					moved := m.data.Clone()
+					for _, k := range set.Keys {
+						moved.Set(k, db.recs[lst[i-1]].data.MustGet(k))
+					}
+					probe(set, owner, moved, id)
+				}
+			}
+			if set.Member == "ITEM" {
+				probe(set, owner, randomItem(rng), -1)
+			}
+		}
+	}
+}
+
+// TestKeyedSetOperationsMatchScanOracle drives randomized STORE,
+// StoreWith, MODIFY, CONNECT, DISCONNECT and ERASE, bulk loads and
+// clones over string, int and nullable keys. After every operation
+// every keyed member list must be in key order and the binary-search
+// duplicate check must answer what the linear scan answers.
+func TestKeyedSetOperationsMatchScanOracle(t *testing.T) {
+	for _, seed := range []int64{21, 22, 23, 24} {
+		rng := rand.New(rand.NewSource(seed))
+		db := NewDB(keyedSchema())
+		s := NewSession(db)
+		nextGrp := int64(0)
+		grps := func() []RecordID { return db.AllOf("GRP") }
+		items := func() []RecordID { return db.AllOf("ITEM") }
+		pickGrp := func() (RecordID, bool) {
+			g := grps()
+			if len(g) == 0 {
+				return 0, false
+			}
+			return g[rng.Intn(len(g))], true
+		}
+		pickItem := func() (RecordID, bool) {
+			it := items()
+			if len(it) == 0 {
+				return 0, false
+			}
+			return it[rng.Intn(len(it))], true
+		}
+		for op := 0; op < 300; op++ {
+			var name string
+			switch rng.Intn(12) {
+			case 0: // STORE a group (int keys in ALL-GRP, inserted out of order)
+				name = "store GRP"
+				s.Store("GRP", value.FromPairs("G-ID", (nextGrp*7)%31))
+				nextGrp++
+			case 1, 2: // STORE an item under the current group
+				name = "store ITEM"
+				g, ok := pickGrp()
+				if !ok {
+					continue
+				}
+				s.Position(g)
+				s.Store("ITEM", randomItem(rng))
+			case 3: // StoreWith into explicit occurrences
+				name = "StoreWith ITEM"
+				g, ok := pickGrp()
+				if !ok {
+					continue
+				}
+				m := map[string]RecordID{"BY-NAME": g}
+				if rng.Intn(2) == 0 {
+					m["BY-RANK"] = g
+				}
+				if rng.Intn(2) == 0 {
+					m["BY-TAG"] = OwnerSystem
+				}
+				db.StoreWith("ITEM", randomItem(rng), m)
+			case 4: // MODIFY keys to fresh random values
+				name = "modify random"
+				id, ok := pickItem()
+				if !ok {
+					continue
+				}
+				s.Position(id)
+				s.Modify("ITEM", randomItem(rng))
+			case 5: // MODIFY a key onto a neighbour's value: must fail
+				name = "modify onto neighbour"
+				id, ok := pickItem()
+				if !ok {
+					continue
+				}
+				owner, _ := db.OwnerOf("BY-NAME", id)
+				lst := db.members["BY-NAME"][owner]
+				if len(lst) < 2 {
+					continue
+				}
+				other := lst[0]
+				if other == id {
+					other = lst[1]
+				}
+				s.Position(id)
+				st, err := s.Modify("ITEM", value.FromPairs("NAME", db.recs[other].data.MustGet("NAME")))
+				if err != nil || st != DuplicateInSet {
+					t.Fatalf("seed %d op %d: MODIFY onto a neighbour's key: (%v, %v), want DuplicateInSet", seed, op, st, err)
+				}
+			case 6: // CONNECT into the int-keyed or the nullable-keyed set
+				name = "connect"
+				id, ok := pickItem()
+				g, okg := pickGrp()
+				if !ok || !okg {
+					continue
+				}
+				s.Position(g)
+				s.Position(id)
+				if rng.Intn(2) == 0 {
+					s.Connect("BY-RANK")
+				} else {
+					s.Connect("BY-TAG")
+				}
+			case 7: // DISCONNECT
+				name = "disconnect"
+				id, ok := pickItem()
+				if !ok {
+					continue
+				}
+				s.Position(id)
+				if rng.Intn(2) == 0 {
+					s.Disconnect("BY-RANK")
+				} else {
+					s.Disconnect("BY-TAG")
+				}
+			case 8: // ERASE an item
+				name = "erase ITEM"
+				id, ok := pickItem()
+				if !ok {
+					continue
+				}
+				s.Position(id)
+				s.Erase("ITEM")
+			case 9: // ERASE a group, cascading its BY-NAME members
+				name = "erase GRP"
+				if rng.Intn(3) > 0 {
+					continue
+				}
+				g, ok := pickGrp()
+				if !ok {
+					continue
+				}
+				s.Position(g)
+				s.Erase("GRP")
+			case 10: // bulk-load a batch into the populated database
+				name = "bulk load"
+				g, ok := pickGrp()
+				if !ok {
+					continue
+				}
+				bl := db.NewBulkLoader(8)
+				for i := 0; i < 8; i++ {
+					m := map[string]RecordID{"BY-NAME": g}
+					if rng.Intn(2) == 0 {
+						m["BY-RANK"] = g
+					}
+					if rng.Intn(2) == 0 {
+						m["BY-TAG"] = OwnerSystem
+					}
+					bl.Store("ITEM", randomItem(rng), m)
+				}
+				bl.Close(2)
+			case 11: // carry on against a clone
+				name = "clone"
+				db = db.Clone()
+				s = NewSession(db)
+			}
+			checkKeyedOrder(t, db, name)
+			checkDuplicateOracle(t, db, rng, name)
+		}
+		checkInvariants(t, db)
+	}
+}

@@ -208,10 +208,10 @@ func (s *Session) Store(recType string, rec *value.Record) (RecordID, Status, er
 	}
 
 	o := &occurrence{
-		id:       s.db.nextID,
-		typ:      typ,
-		data:     data,
-		memberOf: make(map[string]RecordID),
+		id:    s.db.nextID,
+		typ:   typ,
+		data:  data,
+		links: make([]setLink, 0, len(targets)),
 	}
 	s.db.nextID++
 	s.db.recs[o.id] = o
@@ -219,7 +219,7 @@ func (s *Session) Store(recType string, rec *value.Record) (RecordID, Status, er
 	s.db.indexAdd(o)
 	for _, tg := range targets {
 		s.db.insertOrdered(tg.set, tg.owner, o)
-		o.memberOf[tg.set.Name] = tg.owner
+		o.links = append(o.links, setLink{tg.set.Name, tg.owner})
 	}
 	s.setCurrency(o)
 	return o.id, s.fail(OK), nil
@@ -237,7 +237,7 @@ func (s *Session) ownerFromCurrency(set *schema.SetType) (RecordID, Status) {
 	if o.typ.Name == set.Owner {
 		return o.id, OK
 	}
-	owner, connected := o.memberOf[set.Name]
+	owner, connected := o.ownerIn(set.Name)
 	if !connected {
 		return 0, NoCurrentOwner
 	}
@@ -366,13 +366,7 @@ func (s *Session) FindInSet(set string, dir Direction, match *value.Record) (Sta
 				idx = len(lst) - 1
 			}
 		} else {
-			pos := -1
-			for i, id := range lst {
-				if id == cur {
-					pos = i
-					break
-				}
-			}
+			pos := s.db.memberPos(st, lst, curOcc)
 			if pos < 0 {
 				return s.fail(NoCurrency), nil
 			}
@@ -407,7 +401,7 @@ func (s *Session) FindOwner(set string) (Status, error) {
 	if o.typ.Name == st.Owner {
 		return s.fail(OK), nil // already on the owner
 	}
-	owner, connected := o.memberOf[set]
+	owner, connected := o.ownerIn(set)
 	if !connected {
 		return s.fail(NotMember), nil
 	}
@@ -465,21 +459,21 @@ func (s *Session) Modify(recType string, rec *value.Record) (Status, error) {
 		newData.Set(n, v)
 	}
 	// Check duplicates in every set occurrence the record belongs to.
-	for setName, owner := range o.memberOf {
-		set := s.db.schema.Set(setName)
-		if s.db.duplicateInOcc(set, owner, newData, o.id) {
+	for _, l := range o.links {
+		if s.db.duplicateInOcc(s.db.schema.Set(l.set), l.owner, newData, o.id) {
 			return s.fail(DuplicateInSet), nil
 		}
 	}
-	// Reposition under the new key values.
-	for setName, owner := range o.memberOf {
-		s.db.removeMember(setName, owner, o.id)
+	// Reposition under the new key values: remove while o.data still
+	// holds the keys the record was placed under.
+	for _, l := range o.links {
+		s.db.removeMember(s.db.schema.Set(l.set), l.owner, o)
 	}
 	s.db.indexRemove(o) // keyed by the old data; re-add under the new below
 	o.data = newData
 	s.db.indexAdd(o)
-	for setName, owner := range o.memberOf {
-		s.db.insertOrdered(s.db.schema.Set(setName), owner, o)
+	for _, l := range o.links {
+		s.db.insertOrdered(s.db.schema.Set(l.set), l.owner, o)
 	}
 	return s.fail(OK), nil
 }
@@ -547,12 +541,12 @@ func (s *Session) Disconnect(set string) (Status, error) {
 	if o.typ.Name != st.Member {
 		return s.fail(WrongType), nil
 	}
-	if _, connected := o.memberOf[set]; !connected {
+	if _, connected := o.ownerIn(set); !connected {
 		return s.fail(NotMember), nil
 	}
 	if st.Retention == schema.Mandatory {
 		return s.fail(Retention), nil
 	}
-	s.db.disconnect(set, o)
+	s.db.disconnect(st, o)
 	return s.fail(OK), nil
 }

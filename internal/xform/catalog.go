@@ -17,6 +17,27 @@ type rebuildFns struct {
 	// mapSet returns the destination set for a source membership
 	// ("" = drop the membership).
 	mapSet func(srcSet string) string
+	// route re-homes one set's memberships through a synthesized or
+	// dissolved intermediate. Only the structural steps set it, and only
+	// the sharded rebuild reads it: those steps never fuse, and their
+	// serial MigrateData bodies do their own routing.
+	route *setRoute
+}
+
+// setRoute is the one membership a structural step re-homes. On an
+// introduce route (inter set) a member's link in set moves under the
+// intermediate of (its destination owner, its group field value), with
+// upper the destination owner→intermediate set. On a collapse route
+// (inter empty) set is the chain's lower half: the member's link moves
+// to the intermediate's own owner in upper, a source set, and the
+// intermediate's group field returns to the member. mapSet names the
+// re-homed link's destination set.
+type setRoute struct {
+	member string // source record type whose link is re-homed
+	set    string // source set of that link
+	field  string // the group field
+	inter  string // introduce: the intermediate record type; "" on collapse
+	upper  string
 }
 
 // rebuild copies src into a fresh database under dst, applying the

@@ -206,6 +206,25 @@ func (t IntroduceIntermediate) MigrateData(src *netstore.DB, dst *schema.Network
 	return out, nil
 }
 
+// routeFns implements structural: members' links in the split set move
+// under intermediates, and the lifted field drops out of the stored
+// record because it is virtual in the destination.
+func (t IntroduceIntermediate) routeFns(src *schema.Network) (rebuildFns, error) {
+	set, _, _, err := t.check(src)
+	if err != nil {
+		return rebuildFns{}, err
+	}
+	return rebuildFns{
+		mapSet: func(s string) string {
+			if s == t.Set {
+				return t.Lower
+			}
+			return s
+		},
+		route: &setRoute{member: set.Member, set: t.Set, field: t.GroupField, inter: t.Inter, upper: t.Upper},
+	}, nil
+}
+
 // Rewriter implements Transformation.
 func (t IntroduceIntermediate) Rewriter(src *schema.Network) (*Rewriter, error) {
 	set, _, _, err := t.check(src)
@@ -406,6 +425,32 @@ func (t CollapseIntermediate) MigrateData(src *netstore.DB, dst *schema.Network)
 		}
 	}
 	return out, nil
+}
+
+// routeFns implements structural: the intermediates vanish and members'
+// links in the lower set move to the restored set under the
+// intermediate's owner.
+func (t CollapseIntermediate) routeFns(src *schema.Network) (rebuildFns, error) {
+	upper, lower, err := t.check(src)
+	if err != nil {
+		return rebuildFns{}, err
+	}
+	inter := upper.Member
+	return rebuildFns{
+		mapType: func(s string) string {
+			if s == inter {
+				return ""
+			}
+			return s
+		},
+		mapSet: func(s string) string {
+			if s == t.Lower {
+				return t.NewSet
+			}
+			return s
+		},
+		route: &setRoute{member: lower.Member, set: t.Lower, field: t.GroupField, upper: t.Upper},
+	}, nil
 }
 
 // Rewriter implements Transformation.

@@ -57,11 +57,11 @@ func shardCount(n, parallelism int) int {
 // same pass structure (maximal fusible runs compose into single passes,
 // remaining steps run their own pass), same results byte for byte —
 // record IDs, set orderings, index contents, error text and order —
-// with each rebuild pass fanned out over opts.Parallelism shard
-// workers and merged through the netstore bulk loader. Cancelling ctx
-// aborts mid-pass; the cause surfaces unwrapped inside the usual
-// per-step error wrapping, so errors.Is(err, context.DeadlineExceeded)
-// sees through it.
+// with every pass, the structural ones included, fanned out over
+// opts.Parallelism shard workers and merged through the netstore bulk
+// loader. Cancelling ctx aborts mid-pass; the cause surfaces unwrapped
+// inside the usual per-step error wrapping, so
+// errors.Is(err, context.DeadlineExceeded) sees through it.
 func (p *Plan) Migrate(ctx context.Context, src *netstore.DB, opts MigrateOptions) (*netstore.DB, MigrateStats, error) {
 	var stats MigrateStats
 	cur := src
@@ -100,17 +100,11 @@ func (p *Plan) Migrate(ctx context.Context, src *netstore.DB, opts MigrateOption
 		if err != nil {
 			return nil, stats, fmt.Errorf("xform: %s: %w", t.Name(), err)
 		}
-		var next *netstore.DB
-		if ft, ok := t.(fusible); ok {
-			// A lone fusible step still takes the sharded rebuild; only
-			// the fuse accounting differs from a composed run.
-			next, err = rebuildParallel(ctx, cur, nextSchema, ft.fuseFns(), opts.Parallelism, &stats)
-		} else {
-			// The structural steps (intermediate introduction/collapse)
-			// synthesize occurrences as they go; they keep their serial
-			// single pass.
-			next, err = t.MigrateData(cur, nextSchema)
+		fns, err := passFns(t, curSchema)
+		if err != nil {
+			return nil, stats, fmt.Errorf("xform: %s: %w", t.Name(), err)
 		}
+		next, err := rebuildParallel(ctx, cur, nextSchema, fns, opts.Parallelism, &stats)
 		if err != nil {
 			return nil, stats, fmt.Errorf("xform: %s: %w", t.Name(), err)
 		}
@@ -122,13 +116,71 @@ func (p *Plan) Migrate(ctx context.Context, src *netstore.DB, opts MigrateOption
 	return cur, stats, nil
 }
 
+// passFns returns the sharded rebuild's functions for a step that runs
+// its own pass.
+func passFns(t Transformation, src *schema.Network) (rebuildFns, error) {
+	switch st := t.(type) {
+	case fusible:
+		return st.fuseFns(), nil
+	case structural:
+		return st.routeFns(src)
+	}
+	return rebuildFns{}, fmt.Errorf("no sharded data migration for %T", t)
+}
+
 // stagedMember is one source set membership a shard worker collected:
 // the spliceSet index and the source owner occurrence, resolved to a
 // destination owner only at splice time (the owner's destination ID
-// does not exist until its own splice).
+// does not exist until its own splice). On a collapse route the owner
+// is already the intermediate's own owner; orphan marks an
+// intermediate that has none, and owner then holds the intermediate.
 type stagedMember struct {
-	si    int
+	si     int32
+	orphan bool
+	owner  netstore.RecordID
+}
+
+// stagedGroup is the group field a shard worker lifted out of a member
+// on an introduce route: the value its intermediate carries and the
+// value's key form.
+type stagedGroup struct {
+	val value.Value
+	key string
+}
+
+// interKey identifies one synthesized intermediate: the destination
+// owner and the key form of the group value.
+type interKey struct {
 	owner netstore.RecordID
+	group string
+}
+
+// intermediates stores an introduce pass's synthesized occurrences, one
+// per (destination owner, group value), the first time the splice meets
+// the pair — the point where the serial pass stores it, so record IDs
+// and set orders come out the same.
+type intermediates struct {
+	typ   *schema.RecordType
+	upper *schema.SetType
+	field string
+	ids   map[interKey]netstore.RecordID
+}
+
+func (im *intermediates) place(bl *netstore.BulkLoader, owner netstore.RecordID, g stagedGroup) (netstore.RecordID, error) {
+	k := interKey{owner, g.key}
+	if id, ok := im.ids[k]; ok {
+		return id, nil
+	}
+	// The group value was kind-checked against the member's field, whose
+	// kind the intermediate's field copies.
+	rec := value.NewRecordSize(1)
+	rec.Set(im.field, g.val)
+	id, err := bl.StorePrepared(im.typ, rec, []netstore.BulkMembership{{Set: im.upper, Owner: owner}})
+	if err != nil {
+		return 0, err
+	}
+	im.ids[k] = id
+	return id, nil
 }
 
 // stagedRec is one shard-prepared record awaiting its splice: the
@@ -151,12 +203,13 @@ type spliceSet struct {
 	dst     *schema.SetType // nil when dstName is absent from dst (StoreWith's unknown-set case)
 	system  bool
 	drop    bool
+	route   bool // the set f.route re-homes
 }
 
-// stagingRecPool recycles the per-worker scratch record that holds a
-// source occurrence's stored data during the transform. The staged
-// destination records are NOT pooled — they become the new database's
-// occurrence data.
+// stagingRecPool recycles the per-worker scratch records that hold a
+// source occurrence's stored data during the transform (and, on a
+// collapse route, the intermediate's). The staged destination records
+// are NOT pooled — they become the new database's occurrence data.
 var stagingRecPool = sync.Pool{New: func() any { return value.NewRecord() }}
 
 // rebuildParallel is rebuild with the per-record transform fanned out
@@ -167,7 +220,9 @@ var stagingRecPool = sync.Pool{New: func() any { return value.NewRecord() }}
 // orderings, index contents, and error precedence match the serial
 // rebuild exactly. The merge phase goes through the bulk loader, which
 // defers member ordering and index maintenance to one batched
-// finalization per pass.
+// finalization per pass. A structural step's f.route re-homes one set:
+// workers lift out or push back the group field and read the owners,
+// and the splice synthesizes intermediates as it goes.
 func rebuildParallel(ctx context.Context, src *netstore.DB, dst *schema.Network, f rebuildFns, parallelism int, stats *MigrateStats) (*netstore.DB, error) {
 	out := netstore.NewDB(dst)
 	bl := out.NewBulkLoader(src.Len())
@@ -176,8 +231,20 @@ func rebuildParallel(ctx context.Context, src *netstore.DB, dst *schema.Network,
 	idMap := make([]netstore.RecordID, src.IDBound())
 	srcSchema := src.Schema()
 
+	rt := f.route
+	var intro *intermediates
+	if rt != nil && rt.inter != "" {
+		intro = &intermediates{
+			typ:   dst.Record(rt.inter),
+			upper: dst.Set(rt.upper),
+			field: rt.field,
+			ids:   make(map[interKey]netstore.RecordID),
+		}
+	}
+
 	var staged []stagedRec
 	var memBuf []stagedMember
+	var groups []stagedGroup
 	var targets []netstore.BulkMembership
 
 	for _, srcType := range topoRecordOrder(srcSchema) {
@@ -207,7 +274,8 @@ func rebuildParallel(ctx context.Context, src *netstore.DB, dst *schema.Network,
 			if f.mapSet != nil {
 				dstSet = f.mapSet(set.Name)
 			}
-			e := spliceSet{srcName: set.Name, dstName: dstSet, system: set.IsSystem(), drop: dstSet == ""}
+			e := spliceSet{srcName: set.Name, dstName: dstSet, system: set.IsSystem(), drop: dstSet == "",
+				route: rt != nil && srcType == rt.member && set.Name == rt.set}
 			if !e.drop {
 				e.dst = dst.Set(dstSet)
 			}
@@ -224,10 +292,18 @@ func rebuildParallel(ctx context.Context, src *netstore.DB, dst *schema.Network,
 				memBuf = make([]stagedMember, n*k)
 			}
 		}
+		if intro != nil && srcType == rt.member {
+			groups = make([]stagedGroup, n)
+		}
 
 		prepare := func(lo, hi int) {
 			tmp := stagingRecPool.Get().(*value.Record)
 			defer stagingRecPool.Put(tmp)
+			var inter *value.Record
+			if rt != nil && intro == nil {
+				inter = stagingRecPool.Get().(*value.Record)
+				defer stagingRecPool.Put(inter)
+			}
 			for i := lo; i < hi; i++ {
 				if i%ctxPollEvery == 0 && ctx.Err() != nil {
 					for ; i < hi; i++ {
@@ -254,7 +330,27 @@ func rebuildParallel(ctx context.Context, src *netstore.DB, dst *schema.Network,
 						if !connected {
 							continue
 						}
-						mem = append(mem, stagedMember{si: si, owner: owner})
+						m := stagedMember{si: int32(si), owner: owner}
+						if sets[si].route {
+							if intro != nil {
+								// Lift the group field out; the member's
+								// copy is virtual in dst, so the record
+								// built below omits it.
+								gv := data.MustGet(rt.field)
+								groups[i] = stagedGroup{val: gv, key: gv.Key()}
+							} else {
+								// Push the intermediate's group field back
+								// down and re-home under its owner.
+								src.StoredDataInto(owner, inter)
+								data.Set(rt.field, inter.MustGet(rt.field))
+								if grand, ok := src.OwnerOf(rt.upper, owner); ok {
+									m.owner = grand
+								} else {
+									m.orphan = true
+								}
+							}
+						}
+						mem = append(mem, m)
 					}
 					st.members = mem
 				}
@@ -294,7 +390,8 @@ func rebuildParallel(ctx context.Context, src *netstore.DB, dst *schema.Network,
 		}
 
 		// Splice sequentially in source insertion order. Error precedence
-		// per record matches the serial rebuild: unmigrated owners (found
+		// per record matches the serial passes: unmigrated owners and
+		// intermediate placement (in membership order, as they are met
 		// while collecting memberships) before the staged kind error
 		// before StoreWith's membership validation.
 		if cap(targets) < k {
@@ -305,12 +402,22 @@ func rebuildParallel(ctx context.Context, src *netstore.DB, dst *schema.Network,
 				return nil, ctx.Err()
 			}
 			st := &staged[i]
+			var via netstore.RecordID // the intermediate an introduce route places the record under
 			for _, m := range st.members {
-				if sets[m.si].system {
+				e := &sets[m.si]
+				switch {
+				case e.system:
 					continue
+				case m.orphan:
+					return nil, fmt.Errorf("xform: intermediate %d has no %s owner", m.owner, rt.upper)
+				case idMap[m.owner] == 0:
+					return nil, ownerPending(rt, srcType, e)
 				}
-				if idMap[m.owner] == 0 {
-					return nil, fmt.Errorf("xform: %s occurrence's owner in %s not yet migrated", srcType, sets[m.si].srcName)
+				if e.route && intro != nil {
+					var err error
+					if via, err = intro.place(bl, idMap[m.owner], groups[i]); err != nil {
+						return nil, err
+					}
 				}
 			}
 			if st.err != nil {
@@ -323,7 +430,11 @@ func rebuildParallel(ctx context.Context, src *netstore.DB, dst *schema.Network,
 					return nil, fmt.Errorf("netstore: unknown set %s", e.dstName)
 				}
 				owner := netstore.OwnerSystem
-				if !e.system {
+				switch {
+				case e.system:
+				case e.route && intro != nil:
+					owner = via
+				default:
 					owner = idMap[m.owner]
 				}
 				targets = append(targets, netstore.BulkMembership{Set: e.dst, Owner: owner})
@@ -338,6 +449,18 @@ func rebuildParallel(ctx context.Context, src *netstore.DB, dst *schema.Network,
 	bl.Close(parallelism)
 	stats.BulkRecords += bl.Loaded()
 	return out, nil
+}
+
+// ownerPending is the error for a record whose owner in e has no
+// destination occurrence yet, worded as the serial pass words it.
+func ownerPending(rt *setRoute, srcType string, e *spliceSet) error {
+	switch {
+	case rt == nil:
+		return fmt.Errorf("xform: %s occurrence's owner in %s not yet migrated", srcType, e.srcName)
+	case e.route && rt.inter == "":
+		return fmt.Errorf("xform: owner of intermediate not yet migrated")
+	}
+	return fmt.Errorf("xform: owner of %s in %s not yet migrated", srcType, e.srcName)
 }
 
 // stagedRoot is one shard-prepared source root of a hierarchical

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"progconv/internal/netstore"
 	"progconv/internal/schema"
@@ -46,9 +47,15 @@ func randomCompanyDB(t *testing.T, seed int64) *netstore.DB {
 	return db
 }
 
+// figure44to42 collapses the Figure 4.4 chain back into DIV-EMP.
+func figure44to42() CollapseIntermediate {
+	return CollapseIntermediate{Upper: "DIV-DEPT", Lower: "DEPT-EMP", GroupField: "DEPT-NAME", NewSet: "DIV-EMP"}
+}
+
 // planTemplates is the randomized-plan pool: all-fusible runs, a mixed
-// plan around the paper's flagship structural step, and a lossy plan
-// with drops — every per-record shape the sharded rebuild must handle.
+// plan around the paper's flagship structural step, a lossy plan with
+// drops, and the structural steps alone and as a split → collapse round
+// trip — every per-record shape the sharded rebuild must handle.
 func planTemplates() map[string]*Plan {
 	return map[string]*Plan{
 		"fused-run": fourStepFusiblePlan(),
@@ -66,6 +73,8 @@ func planTemplates() map[string]*Plan {
 		"lone-step": {Steps: []Transformation{
 			RenameRecord{Old: "EMP", New: "WORKER"},
 		}},
+		"lone-introduce": {Steps: []Transformation{figure42to44()}},
+		"split-collapse": {Steps: []Transformation{figure42to44(), figure44to42()}},
 	}
 }
 
@@ -145,7 +154,8 @@ func TestParallelMigrateShardStats(t *testing.T) {
 
 // TestParallelMigrateErrorParity: a store-time failure (a default whose
 // kind contradicts the declared field kind) surfaces the identical
-// error string at every shard count, serial oracle included.
+// error string at every shard count, serial oracle included; so does
+// every failure a structural pass can raise.
 func TestParallelMigrateErrorParity(t *testing.T) {
 	src := randomCompanyDB(t, 45)
 	p := &Plan{Steps: []Transformation{
@@ -165,17 +175,127 @@ func TestParallelMigrateErrorParity(t *testing.T) {
 			t.Errorf("par %d error diverges:\nparallel: %v\nserial:   %v", par, err, serr)
 		}
 	}
+
+	// Structural passes: the same parity against the stepwise oracle.
+	for name, c := range structuralErrorCases(t) {
+		_, serr := c.plan.MigrateDataStepwise(c.src)
+		if serr == nil || !strings.Contains(serr.Error(), c.want) {
+			t.Fatalf("%s: stepwise oracle error %v, want one containing %q", name, serr, c.want)
+		}
+		for _, par := range []int{1, 2, 8} {
+			_, _, err := c.plan.Migrate(context.Background(), c.src, MigrateOptions{Parallelism: par})
+			if err == nil {
+				t.Fatalf("%s par %d: migration did not fail (stepwise: %v)", name, par, serr)
+			}
+			if err.Error() != serr.Error() {
+				t.Errorf("%s par %d error diverges:\nparallel: %v\nstepwise: %v", name, par, err, serr)
+			}
+		}
+	}
 }
 
-// TestParallelMigrateContextCanceled: shard workers poll the context;
-// a canceled context aborts the rebuild with the cause intact.
+// structuralErrorCases builds sources on which a structural pass fails
+// part-way, one per error the pass can raise:
+//   - a self-owned MANAGES set whose first employee is managed by a
+//     later one, so the split meets an owner not yet migrated after it
+//     has placed the employee's intermediate;
+//   - a DEPT with no DIV-DEPT owner, which the collapse cannot re-home;
+//   - two DEPTs of one DIV holding equal EMP-NAMEs, which collide in
+//     the restored DIV-EMP.
+func structuralErrorCases(t *testing.T) map[string]struct {
+	plan *Plan
+	src  *netstore.DB
+	want string
+} {
+	t.Helper()
+	must := func(id netstore.RecordID, err error) netstore.RecordID {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+
+	managed := schema.CompanyV1()
+	managed.Sets = append(managed.Sets, &schema.SetType{Name: "MANAGES", Owner: "EMP", Member: "EMP",
+		Keys: []string{"EMP-NAME"}, Insertion: schema.Manual, Retention: schema.Optional})
+	mdb := netstore.NewDB(managed)
+	div := must(mdb.StoreWith("DIV", value.FromPairs("DIV-NAME", "D", "DIV-LOC", "L"),
+		map[string]netstore.RecordID{"ALL-DIV": netstore.OwnerSystem}))
+	report := must(mdb.StoreWith("EMP", value.FromPairs("EMP-NAME", "A", "DEPT-NAME", "X", "AGE", 30),
+		map[string]netstore.RecordID{"DIV-EMP": div}))
+	boss := must(mdb.StoreWith("EMP", value.FromPairs("EMP-NAME", "B", "DEPT-NAME", "X", "AGE", 50),
+		map[string]netstore.RecordID{"DIV-EMP": div}))
+	s := netstore.NewSession(mdb)
+	s.Position(boss)
+	s.Position(report)
+	if st, err := s.Connect("MANAGES"); err != nil || st != netstore.OK {
+		t.Fatalf("connect MANAGES: %v %v", st, err)
+	}
+
+	v1 := schema.CompanyV1()
+	v1.Set("DIV-EMP").Insertion = schema.Manual
+	v1.Set("DIV-EMP").Retention = schema.Optional
+	v2, err := figure42to44().ApplySchema(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// v2db stores one DIV, the named DEPTs (under the DIV when owned)
+	// and each {dept, name} EMP under its DEPT.
+	v2db := func(owned bool, depts []string, emps [][2]string) *netstore.DB {
+		db := netstore.NewDB(v2.Clone())
+		d := must(db.StoreWith("DIV", value.FromPairs("DIV-NAME", "D", "DIV-LOC", "L"),
+			map[string]netstore.RecordID{"ALL-DIV": netstore.OwnerSystem}))
+		ids := map[string]netstore.RecordID{}
+		for _, name := range depts {
+			var m map[string]netstore.RecordID
+			if owned {
+				m = map[string]netstore.RecordID{"DIV-DEPT": d}
+			}
+			ids[name] = must(db.StoreWith("DEPT", value.FromPairs("DEPT-NAME", name), m))
+		}
+		for _, e := range emps {
+			must(db.StoreWith("EMP", value.FromPairs("EMP-NAME", e[1], "AGE", 40),
+				map[string]netstore.RecordID{"DEPT-EMP": ids[e[0]]}))
+		}
+		return db
+	}
+	split := &Plan{Steps: []Transformation{figure42to44()}}
+	collapse := &Plan{Steps: []Transformation{figure44to42()}}
+	return map[string]struct {
+		plan *Plan
+		src  *netstore.DB
+		want string
+	}{
+		"introduce-owner-pending": {split, mdb, "owner of EMP in MANAGES not yet migrated"},
+		"collapse-orphan": {collapse, v2db(false, []string{"X"}, [][2]string{{"X", "A"}}),
+			"has no DIV-DEPT owner"},
+		"collapse-duplicate": {collapse, v2db(true, []string{"X", "Y"}, [][2]string{{"X", "A"}, {"Y", "B"}, {"Y", "A"}}),
+			"duplicate set key"},
+	}
+}
+
+// TestParallelMigrateContextCanceled: shard workers and the splice poll
+// the context on fusible and structural passes alike; a canceled or
+// expired context aborts the rebuild with the cause visible through the
+// per-step wrapping.
 func TestParallelMigrateContextCanceled(t *testing.T) {
 	src := randomCompanyDB(t, 46)
-	ctx, cancel := context.WithCancel(context.Background())
+	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := fourStepFusiblePlan().Migrate(ctx, src, MigrateOptions{Parallelism: 4})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	expired, cancel2 := context.WithDeadline(context.Background(), time.Unix(0, 0))
+	defer cancel2()
+	plans := planTemplates()
+	for _, name := range []string{"fused-run", "lone-introduce", "split-collapse"} {
+		for _, c := range []struct {
+			ctx  context.Context
+			want error
+		}{{canceled, context.Canceled}, {expired, context.DeadlineExceeded}} {
+			_, _, err := plans[name].Migrate(c.ctx, src, MigrateOptions{Parallelism: 4})
+			if !errors.Is(err, c.want) {
+				t.Fatalf("%s: err = %v, want %v", name, err, c.want)
+			}
+		}
 	}
 }
 

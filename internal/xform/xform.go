@@ -237,6 +237,14 @@ type fusible interface {
 	fuseFns() rebuildFns
 }
 
+// structural is the interface of the steps that synthesize or dissolve
+// intermediate occurrences. On the sharded path their data migration is
+// the generic rebuild with one set re-homed (see setRoute); they never
+// fuse.
+type structural interface {
+	routeFns(src *schema.Network) (rebuildFns, error)
+}
+
 // FuseStats reports how a plan's data migration executed: how many
 // steps were composed into fused single-pass runs, how many ran their
 // own full-database pass, and the total passes made.
