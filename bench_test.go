@@ -340,7 +340,7 @@ func BenchmarkStrategies(b *testing.B) {
 	prof := corpus.Profile{Seed: 42, Divisions: 8, DeptsPerDiv: 6, EmpsPerDept: 12}
 	src := corpus.Database(prof)
 	plan := figurePlan()
-	target, err := plan.MigrateData(src)
+	target, _, err := plan.Migrate(context.Background(), src, xform.MigrateOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -493,7 +493,8 @@ func BenchmarkIndexedFind(b *testing.B) {
 }
 
 // BenchmarkFusedMigration backs EXP-C6: a four-step fusible plan over a
-// 1000-employee database as one fused pass vs four stepwise passes.
+// 1000-employee database as one fused pass of the migration engine at
+// one shard worker vs four stepwise serial passes.
 func BenchmarkFusedMigration(b *testing.B) {
 	db := corpus.Database(corpus.Profile{Seed: 7, Divisions: 8, DeptsPerDiv: 5, EmpsPerDept: 25})
 	plan := &xform.Plan{Steps: []xform.Transformation{
@@ -502,10 +503,11 @@ func BenchmarkFusedMigration(b *testing.B) {
 		xform.AddField{Record: "EMPLOYEE", Field: "STATUS", Kind: value.String, Default: value.Str("ACTIVE")},
 		xform.RenameSet{Old: "DIV-EMP", New: "DIV-EMPLOYEE"},
 	}}
+	ctx := context.Background()
 	b.Run("Fused", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := plan.MigrateDataFused(db); err != nil {
+			if _, _, err := plan.Migrate(ctx, db, xform.MigrateOptions{Parallelism: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -521,11 +523,10 @@ func BenchmarkFusedMigration(b *testing.B) {
 }
 
 // BenchmarkParallelMigration backs EXP-C7: the same four-step fusible
-// plan over the same 1000-employee database, serial fused pass vs the
-// sharded bulk-load rebuild at 1, 2 and 8 shard workers. The parallel
-// path's output is byte-identical to Serial at every setting; what
-// changes is wall-clock (with cores to spend) and allocations (the
-// pooled staging buffers and slab-allocated occurrences).
+// plan over the same 1000-employee database through the sharded
+// bulk-load rebuild at 1, 2 and 8 shard workers; the baseline is
+// BenchmarkFusedMigration/Stepwise. The output is byte-identical at
+// every setting; what changes is wall-clock (with cores to spend).
 func BenchmarkParallelMigration(b *testing.B) {
 	db := corpus.Database(corpus.Profile{Seed: 7, Divisions: 8, DeptsPerDiv: 5, EmpsPerDept: 25})
 	plan := &xform.Plan{Steps: []xform.Transformation{
@@ -535,14 +536,6 @@ func BenchmarkParallelMigration(b *testing.B) {
 		xform.RenameSet{Old: "DIV-EMP", New: "DIV-EMPLOYEE"},
 	}}
 	ctx := context.Background()
-	b.Run("Serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := plan.MigrateDataFused(db); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	for _, par := range []int{1, 2, 8} {
 		b.Run(fmt.Sprintf("Parallel%d", par), func(b *testing.B) {
 			b.ReportAllocs()

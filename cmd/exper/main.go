@@ -344,7 +344,11 @@ END PROGRAM.`,
 		}
 		opt, _ := optimizer.Optimize(context.Background(), res.Program, v2)
 		v1db := companyV1DB()
-		v2db, _ := plan.MigrateData(v1db)
+		v2db, _, err := plan.Migrate(context.Background(), v1db, xform.MigrateOptions{})
+		if err != nil {
+			fmt.Printf("  migration failed: %v\n", err)
+			continue
+		}
 		verdict := equiv.Check(context.Background(), p, dbprog.Config{Net: v1db}, opt, dbprog.Config{Net: v2db})
 		fmt.Printf("\n  source:\n%s", indent(dbprog.Format(p), 4))
 		fmt.Printf("  converted:\n%s", indent(dbprog.Format(opt), 4))
@@ -501,7 +505,7 @@ func expC2() {
 			DeptsPerDiv: scale.depts, EmpsPerDept: scale.emps}
 		src := corpus.Database(prof)
 		plan := figurePlan()
-		target, err := plan.MigrateData(src)
+		target, _, err := plan.Migrate(context.Background(), src, xform.MigrateOptions{})
 		if err != nil {
 			fmt.Println("error:", err)
 			return
@@ -663,8 +667,8 @@ func expC3() {
 		}
 	}
 	tr := xform.HierReorder{Promote: "EMP"}
-	dstSchema, _ := tr.ApplySchema(db.Schema())
-	dst, warnings, err := tr.MigrateData(db, dstSchema)
+	plan := &xform.HierPlan{Steps: []xform.HierReorder{tr}}
+	dst, warnings, _, err := plan.Migrate(context.Background(), db, xform.MigrateOptions{})
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -829,15 +833,16 @@ func expC6() {
 	fmt.Printf("    indexed %.2fµs/call vs scan %.2fµs/call — x%.1f; counters: %d probes, %d scans\n",
 		us(indexed, reps), us(scanned, reps), float64(scanned)/float64(indexed), probes, scans)
 
-	// (b) Four fusible steps as one pass vs four passes.
+	// (b) Four fusible steps as one pass (one shard worker) vs four
+	// serial passes.
 	mdb := corpus.Database(corpus.Profile{Seed: 7, Divisions: 8, DeptsPerDiv: 5, EmpsPerDept: 25})
 	plan4 := fourStepPlan()
 	const mreps = 20
-	var fuse xform.FuseStats
+	var fuse xform.MigrateStats
 	start = time.Now()
 	for i := 0; i < mreps; i++ {
 		var err error
-		if _, fuse, err = plan4.MigrateDataFused(mdb); err != nil {
+		if _, fuse, err = plan4.Migrate(context.Background(), mdb, xform.MigrateOptions{Parallelism: 1}); err != nil {
 			fmt.Println("error:", err)
 			return
 		}
@@ -896,7 +901,7 @@ func expC6() {
 }
 
 func expC7() {
-	banner("EXP-C7", "sharded parallel migration: bulk-load rebuild vs the serial fused pass")
+	banner("EXP-C7", "sharded parallel migration: bulk-load rebuild vs the serial stepwise passes")
 	fmt.Printf("\nenvironment: GOMAXPROCS=%d — shard speedup needs cores; the\n", runtime.GOMAXPROCS(0))
 	fmt.Println("allocation and bulk-load gains below hold on any machine")
 
@@ -907,20 +912,20 @@ func expC7() {
 	const mreps = 20
 	start := time.Now()
 	for i := 0; i < mreps; i++ {
-		if _, _, err := plan4.MigrateDataFused(mdb); err != nil {
+		if _, err := plan4.MigrateDataStepwise(mdb); err != nil {
 			fmt.Println("error:", err)
 			return
 		}
 	}
 	serial := time.Since(start)
-	serialOut, _, err := plan4.MigrateDataFused(mdb)
+	serialOut, err := plan4.MigrateDataStepwise(mdb)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
 	fmt.Printf("\n(a) 4-step migration of %d records, %d runs per configuration:\n",
 		mdb.Count("DIV")+mdb.Count("EMP"), mreps)
-	fmt.Printf("    serial fused                %8.0fµs/run\n", us(serial, mreps))
+	fmt.Printf("    serial stepwise             %8.0fµs/run\n", us(serial, mreps))
 	for _, par := range []int{1, 2, 8} {
 		start = time.Now()
 		var stats xform.MigrateStats
@@ -1048,7 +1053,7 @@ END PROGRAM.
 		}),
 		bench("migration_fused", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := plan4.MigrateDataFused(migDB); err != nil {
+				if _, _, err := plan4.Migrate(context.Background(), migDB, xform.MigrateOptions{Parallelism: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -1074,7 +1079,7 @@ END PROGRAM.
 	return os.WriteFile(out, append(b, '\n'), 0o644)
 }
 
-// benchJSONParallel writes the EXP-C7 set: the serial fused migration
+// benchJSONParallel writes the EXP-C7 set: the serial stepwise migration
 // against the sharded bulk-load rebuild at 1, 2 and 8 shard workers,
 // over the same 1000-employee database the EXP-C6 migration rows use.
 func benchJSONParallel(out string, bench func(string, func(*testing.B)) wire.BenchRow) error {
@@ -1083,9 +1088,9 @@ func benchJSONParallel(out string, bench func(string, func(*testing.B)) wire.Ben
 	ctx := context.Background()
 
 	rows := []wire.BenchRow{
-		bench("migration_serial_fused", func(b *testing.B) {
+		bench("migration_stepwise", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := plan4.MigrateDataFused(migDB); err != nil {
+				if _, err := plan4.MigrateDataStepwise(migDB); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -1105,7 +1110,7 @@ func benchJSONParallel(out string, bench func(string, func(*testing.B)) wire.Ben
 	doc := wire.BenchDoc{
 		V: wire.Version,
 		Note: "generated by `exper bench-json BENCH_PR10.json`: ns/op and allocs/op for the sharded parallel migration " +
-			"(see EXPERIMENTS.md EXP-C7; output is byte-identical to migration_serial_fused at every shard count)",
+			"(see EXPERIMENTS.md EXP-C7; output is byte-identical to migration_stepwise at every shard count)",
 		Benchmarks: rows,
 	}
 	b, err := json.MarshalIndent(doc, "", "  ")

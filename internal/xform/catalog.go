@@ -19,8 +19,8 @@ type rebuildFns struct {
 	mapSet func(srcSet string) string
 	// route re-homes one set's memberships through a synthesized or
 	// dissolved intermediate. Only the structural steps set it, and only
-	// the sharded rebuild reads it: those steps never fuse, and their
-	// serial MigrateData bodies do their own routing.
+	// the sharded rebuild reads it: a routed step never fuses, and the
+	// structural steps' serial MigrateData bodies do their own routing.
 	route *setRoute
 }
 
@@ -103,6 +103,16 @@ func rebuild(src *netstore.DB, dst *schema.Network, f rebuildFns) (*netstore.DB,
 	return out, nil
 }
 
+// rebuildStep is the serial reference pass of a routeless step: the
+// generic rebuild with the step's own fns.
+func rebuildStep(t Transformation, src *netstore.DB, dst *schema.Network) (*netstore.DB, error) {
+	f, err := t.dataFns(src.Schema())
+	if err != nil {
+		return nil, err
+	}
+	return rebuild(src, dst, f)
+}
+
 // ---- RenameRecord ----
 
 // RenameRecord renames a record type.
@@ -138,19 +148,19 @@ func (t RenameRecord) ApplySchema(src *schema.Network) (*schema.Network, error) 
 	return out, out.Validate()
 }
 
-// fuseFns implements fusible.
-func (t RenameRecord) fuseFns() rebuildFns {
+// dataFns implements Transformation.
+func (t RenameRecord) dataFns(*schema.Network) (rebuildFns, error) {
 	return rebuildFns{mapType: func(s string) string {
 		if s == t.Old {
 			return t.New
 		}
 		return s
-	}}
+	}}, nil
 }
 
 // MigrateData implements Transformation.
 func (t RenameRecord) MigrateData(src *netstore.DB, dst *schema.Network) (*netstore.DB, error) {
-	return rebuild(src, dst, t.fuseFns())
+	return rebuildStep(t, src, dst)
 }
 
 // Rewriter implements Transformation.
@@ -215,19 +225,19 @@ func (t RenameField) ApplySchema(src *schema.Network) (*schema.Network, error) {
 	return out, out.Validate()
 }
 
-// fuseFns implements fusible.
-func (t RenameField) fuseFns() rebuildFns {
+// dataFns implements Transformation.
+func (t RenameField) dataFns(*schema.Network) (rebuildFns, error) {
 	return rebuildFns{mapData: func(typ string, data *value.Record) *value.Record {
 		if typ == t.Record {
 			data.Rename(t.Old, t.New)
 		}
 		return data
-	}}
+	}}, nil
 }
 
 // MigrateData implements Transformation.
 func (t RenameField) MigrateData(src *netstore.DB, dst *schema.Network) (*netstore.DB, error) {
-	return rebuild(src, dst, t.fuseFns())
+	return rebuildStep(t, src, dst)
 }
 
 // Rewriter implements Transformation.
@@ -271,19 +281,19 @@ func (t RenameSet) ApplySchema(src *schema.Network) (*schema.Network, error) {
 	return out, out.Validate()
 }
 
-// fuseFns implements fusible.
-func (t RenameSet) fuseFns() rebuildFns {
+// dataFns implements Transformation.
+func (t RenameSet) dataFns(*schema.Network) (rebuildFns, error) {
 	return rebuildFns{mapSet: func(s string) string {
 		if s == t.Old {
 			return t.New
 		}
 		return s
-	}}
+	}}, nil
 }
 
 // MigrateData implements Transformation.
 func (t RenameSet) MigrateData(src *netstore.DB, dst *schema.Network) (*netstore.DB, error) {
-	return rebuild(src, dst, t.fuseFns())
+	return rebuildStep(t, src, dst)
 }
 
 // Rewriter implements Transformation.
@@ -331,19 +341,19 @@ func (t AddField) ApplySchema(src *schema.Network) (*schema.Network, error) {
 	return out, out.Validate()
 }
 
-// fuseFns implements fusible.
-func (t AddField) fuseFns() rebuildFns {
+// dataFns implements Transformation.
+func (t AddField) dataFns(*schema.Network) (rebuildFns, error) {
 	return rebuildFns{mapData: func(typ string, data *value.Record) *value.Record {
 		if typ == t.Record {
 			data.Set(t.Field, t.Default)
 		}
 		return data
-	}}
+	}}, nil
 }
 
 // MigrateData implements Transformation.
 func (t AddField) MigrateData(src *netstore.DB, dst *schema.Network) (*netstore.DB, error) {
-	return rebuild(src, dst, t.fuseFns())
+	return rebuildStep(t, src, dst)
 }
 
 // Rewriter implements Transformation.
@@ -408,19 +418,19 @@ func (t DropField) ApplySchema(src *schema.Network) (*schema.Network, error) {
 	return out, out.Validate()
 }
 
-// fuseFns implements fusible.
-func (t DropField) fuseFns() rebuildFns {
+// dataFns implements Transformation.
+func (t DropField) dataFns(*schema.Network) (rebuildFns, error) {
 	return rebuildFns{mapData: func(typ string, data *value.Record) *value.Record {
 		if typ == t.Record {
 			data.Delete(t.Field)
 		}
 		return data
-	}}
+	}}, nil
 }
 
 // MigrateData implements Transformation.
 func (t DropField) MigrateData(src *netstore.DB, dst *schema.Network) (*netstore.DB, error) {
-	return rebuild(src, dst, t.fuseFns())
+	return rebuildStep(t, src, dst)
 }
 
 // Rewriter implements Transformation.
@@ -461,10 +471,10 @@ func (t ChangeSetKeys) ApplySchema(src *schema.Network) (*schema.Network, error)
 	return out, out.Validate()
 }
 
-// fuseFns implements fusible. The reordering itself happens in
+// dataFns implements Transformation. The reordering itself happens in
 // StoreWith under the destination schema's keys, so the mapping is the
 // identity.
-func (t ChangeSetKeys) fuseFns() rebuildFns { return rebuildFns{} }
+func (t ChangeSetKeys) dataFns(*schema.Network) (rebuildFns, error) { return rebuildFns{}, nil }
 
 // MigrateData implements Transformation.
 func (t ChangeSetKeys) MigrateData(src *netstore.DB, dst *schema.Network) (*netstore.DB, error) {
@@ -514,9 +524,9 @@ func (t ChangeRetention) ApplySchema(src *schema.Network) (*schema.Network, erro
 	return out, out.Validate()
 }
 
-// fuseFns implements fusible: retention is schema-only, the data
+// dataFns implements Transformation: retention is schema-only, the data
 // mapping is the identity.
-func (t ChangeRetention) fuseFns() rebuildFns { return rebuildFns{} }
+func (t ChangeRetention) dataFns(*schema.Network) (rebuildFns, error) { return rebuildFns{}, nil }
 
 // MigrateData implements Transformation.
 func (t ChangeRetention) MigrateData(src *netstore.DB, dst *schema.Network) (*netstore.DB, error) {

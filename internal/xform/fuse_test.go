@@ -1,6 +1,7 @@
 package xform
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -48,14 +49,14 @@ func fourStepFusiblePlan() *Plan {
 	}}
 }
 
-// TestFusedMigrationByteIdenticalToStepwise proves the fused single-pass
-// migration produces exactly the database the stepwise chain does,
-// record IDs included.
+// TestFusedMigrationByteIdenticalToStepwise proves the migration engine's
+// fused single pass produces exactly the database the stepwise chain
+// does, record IDs included.
 func TestFusedMigrationByteIdenticalToStepwise(t *testing.T) {
 	src := companyV1DB(t)
 	p := fourStepFusiblePlan()
 
-	fused, stats, err := p.MigrateDataFused(src)
+	fused, stats, err := p.Migrate(context.Background(), src, MigrateOptions{})
 	if err != nil {
 		t.Fatalf("fused: %v", err)
 	}
@@ -84,7 +85,7 @@ func TestFusedMigrationBailsOutAroundIntermediates(t *testing.T) {
 		RenameRecord{Old: "EMP", New: "EMPLOYEE"},
 	}}
 
-	fused, stats, err := p.MigrateDataFused(src)
+	fused, stats, err := p.Migrate(context.Background(), src, MigrateOptions{})
 	if err != nil {
 		t.Fatalf("fused: %v", err)
 	}
@@ -92,9 +93,8 @@ func TestFusedMigrationBailsOutAroundIntermediates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stepwise: %v", err)
 	}
-	want := FuseStats{FusedSteps: 2, StepwiseSteps: 2, Passes: 3}
-	if stats != want {
-		t.Fatalf("fuse stats = %+v, want %+v", stats, want)
+	if stats.FusedSteps != 2 || stats.StepwiseSteps != 2 || stats.Passes != 3 {
+		t.Fatalf("fuse stats = %+v, want 2 fused steps, 2 stepwise steps, 3 passes", stats)
 	}
 	if got, want := dumpDB(fused), dumpDB(stepwise); got != want {
 		t.Fatalf("mixed-plan fusion diverged from stepwise:\n--- fused ---\n%s\n--- stepwise ---\n%s", got, want)
@@ -131,7 +131,7 @@ func TestFusedMigrationRandomizedContent(t *testing.T) {
 		}
 
 		p := fourStepFusiblePlan()
-		fused, _, err := p.MigrateDataFused(db)
+		fused, _, err := p.Migrate(context.Background(), db, MigrateOptions{})
 		if err != nil {
 			t.Fatalf("seed %d fused: %v", seed, err)
 		}

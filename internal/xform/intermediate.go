@@ -206,10 +206,10 @@ func (t IntroduceIntermediate) MigrateData(src *netstore.DB, dst *schema.Network
 	return out, nil
 }
 
-// routeFns implements structural: members' links in the split set move
-// under intermediates, and the lifted field drops out of the stored
-// record because it is virtual in the destination.
-func (t IntroduceIntermediate) routeFns(src *schema.Network) (rebuildFns, error) {
+// dataFns implements Transformation: members' links in the split set
+// move under intermediates, and the lifted field drops out of the
+// stored record because it is virtual in the destination.
+func (t IntroduceIntermediate) dataFns(src *schema.Network) (rebuildFns, error) {
 	set, _, _, err := t.check(src)
 	if err != nil {
 		return rebuildFns{}, err
@@ -427,10 +427,10 @@ func (t CollapseIntermediate) MigrateData(src *netstore.DB, dst *schema.Network)
 	return out, nil
 }
 
-// routeFns implements structural: the intermediates vanish and members'
-// links in the lower set move to the restored set under the
+// dataFns implements Transformation: the intermediates vanish and
+// members' links in the lower set move to the restored set under the
 // intermediate's owner.
-func (t CollapseIntermediate) routeFns(src *schema.Network) (rebuildFns, error) {
+func (t CollapseIntermediate) dataFns(src *schema.Network) (rebuildFns, error) {
 	upper, lower, err := t.check(src)
 	if err != nil {
 		return rebuildFns{}, err

@@ -1,6 +1,7 @@
 package xform
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -61,7 +62,7 @@ func TestInverseIntroduceCollapsePair(t *testing.T) {
 func TestInversePlanRoundTripsData(t *testing.T) {
 	src := companyV1DB(t)
 	plan := &Plan{Steps: []Transformation{figure42to44()}}
-	dst, err := plan.MigrateData(src)
+	dst, _, err := plan.Migrate(context.Background(), src, MigrateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestInversePlanRoundTripsData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := inv.MigrateData(dst)
+	back, _, err := inv.Migrate(context.Background(), dst, MigrateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,13 +19,16 @@ type MigrateOptions struct {
 	Parallelism int
 }
 
-// MigrateStats extends the fuse accounting with the sharded path's
-// counters: how many shards the passes fanned out into and how many
-// records went through the bulk-load merge phase.
+// MigrateStats reports how a migration executed: how many steps were
+// composed into fused single-pass runs, how many ran their own pass,
+// the total passes made, how many shards the passes fanned out into and
+// how many records went through the bulk-load merge phase.
 type MigrateStats struct {
-	FuseStats
-	Shards      int
-	BulkRecords int
+	FusedSteps    int
+	StepwiseSteps int
+	Passes        int
+	Shards        int
+	BulkRecords   int
 }
 
 // minShardRecords is the smallest extent worth a dedicated shard: below
@@ -53,79 +56,66 @@ func shardCount(n, parallelism int) int {
 	return shards
 }
 
-// Migrate is the ctx-aware, sharded counterpart of MigrateDataFused:
-// same pass structure (maximal fusible runs compose into single passes,
-// remaining steps run their own pass), same results byte for byte —
-// record IDs, set orderings, index contents, error text and order —
-// with every pass, the structural ones included, fanned out over
-// opts.Parallelism shard workers and merged through the netstore bulk
-// loader. Cancelling ctx aborts mid-pass; the cause surfaces unwrapped
-// inside the usual per-step error wrapping, so
+// Migrate is the data translator: it restructures src through every
+// step of the plan. Maximal runs of two or more routeless steps compose
+// into a single pass; every other step runs its own pass. Every pass
+// fans out over opts.Parallelism shard workers and merges through the
+// netstore bulk loader, and the result is byte-identical — record IDs,
+// set orderings, index contents, error text and order — to
+// MigrateDataStepwise for every plan whose stepwise migration succeeds
+// (a plan failing an intermediate-schema validity check mid-run may
+// fail differently fused). Cancelling ctx aborts mid-pass; the cause
+// surfaces unwrapped inside the usual per-step error wrapping, so
 // errors.Is(err, context.DeadlineExceeded) sees through it.
 func (p *Plan) Migrate(ctx context.Context, src *netstore.DB, opts MigrateOptions) (*netstore.DB, MigrateStats, error) {
 	var stats MigrateStats
 	cur := src
 	curSchema := src.Schema()
 	for i := 0; i < len(p.Steps); {
-		j := i
+		// Collect the run of routeless steps from i. A routed step, or
+		// one whose fns reject its input schema, ends the run; when it
+		// starts one, it is the run's only step.
+		j, runSchema := i, curSchema
+		var chain []rebuildFns
 		for j < len(p.Steps) {
-			if _, ok := p.Steps[j].(fusible); !ok {
+			t := p.Steps[j]
+			f, ferr := t.dataFns(runSchema)
+			if j > i && (ferr != nil || f.route != nil) {
 				break
 			}
-			j++
-		}
-		if j-i >= 2 {
-			finalSchema := curSchema
-			chain := make([]rebuildFns, 0, j-i)
-			for k := i; k < j; k++ {
-				next, err := p.Steps[k].ApplySchema(finalSchema)
-				if err != nil {
-					return nil, stats, fmt.Errorf("xform: %s: %w", p.Steps[k].Name(), err)
-				}
-				chain = append(chain, p.Steps[k].(fusible).fuseFns())
-				finalSchema = next
+			next, err := t.ApplySchema(runSchema)
+			if err == nil {
+				err = ferr
 			}
-			next, err := rebuildParallel(ctx, cur, finalSchema, composeFns(chain), opts.Parallelism, &stats)
 			if err != nil {
-				return nil, stats, fmt.Errorf("xform: fused steps %d..%d: %w", i+1, j, err)
+				return nil, stats, fmt.Errorf("xform: %s: %w", t.Name(), err)
 			}
-			stats.FusedSteps += j - i
-			stats.Passes++
-			cur, curSchema = next, finalSchema
-			i = j
-			continue
+			chain = append(chain, f)
+			runSchema = next
+			j++
+			if f.route != nil {
+				break
+			}
 		}
-		t := p.Steps[i]
-		nextSchema, err := t.ApplySchema(curSchema)
+		fused := len(chain) > 1
+		f, label := chain[0], p.Steps[i].Name()
+		if fused {
+			f, label = composeFns(chain), fmt.Sprintf("fused steps %d..%d", i+1, j)
+		}
+		next, err := rebuildParallel(ctx, cur, runSchema, f, opts.Parallelism, &stats)
 		if err != nil {
-			return nil, stats, fmt.Errorf("xform: %s: %w", t.Name(), err)
+			return nil, stats, fmt.Errorf("xform: %s: %w", label, err)
 		}
-		fns, err := passFns(t, curSchema)
-		if err != nil {
-			return nil, stats, fmt.Errorf("xform: %s: %w", t.Name(), err)
+		if fused {
+			stats.FusedSteps += len(chain)
+		} else {
+			stats.StepwiseSteps++
 		}
-		next, err := rebuildParallel(ctx, cur, nextSchema, fns, opts.Parallelism, &stats)
-		if err != nil {
-			return nil, stats, fmt.Errorf("xform: %s: %w", t.Name(), err)
-		}
-		stats.StepwiseSteps++
 		stats.Passes++
-		cur, curSchema = next, nextSchema
-		i++
+		cur, curSchema = next, runSchema
+		i = j
 	}
 	return cur, stats, nil
-}
-
-// passFns returns the sharded rebuild's functions for a step that runs
-// its own pass.
-func passFns(t Transformation, src *schema.Network) (rebuildFns, error) {
-	switch st := t.(type) {
-	case fusible:
-		return st.fuseFns(), nil
-	case structural:
-		return st.routeFns(src)
-	}
-	return rebuildFns{}, fmt.Errorf("no sharded data migration for %T", t)
 }
 
 // stagedMember is one source set membership a shard worker collected:
@@ -472,10 +462,14 @@ type stagedRoot struct {
 	canceled   bool
 }
 
-// Migrate is the ctx-aware, sharded counterpart of
-// HierPlan.MigrateData: identical databases, warnings (text and
-// order), and errors, with each step's per-root reads fanned out over
-// shard workers ahead of the sequential insert splice.
+// Migrate chains the steps' data restructurings and accumulates their
+// warnings (dropped unreachable occurrences, merged roots). Every step
+// runs its own pass: a reorder changes parentage, which is a full
+// restructuring. The databases, warnings (text and order) and errors
+// are identical to HierReorder.MigrateData's, with each step's per-root
+// reads fanned out over shard workers ahead of the sequential insert
+// splice. An identity plan returns a clone, so the migrated database
+// never aliases the caller's source.
 func (p *HierPlan) Migrate(ctx context.Context, src *hierstore.DB, opts MigrateOptions) (*hierstore.DB, []string, MigrateStats, error) {
 	var stats MigrateStats
 	cur := src

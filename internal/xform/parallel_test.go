@@ -82,41 +82,58 @@ func planTemplates() map[string]*Plan {
 // databases × randomized plans × shard counts {1, 2, 8}, with the
 // parallel migration compared byte for byte — record IDs, set
 // orderings, index buckets, index counters — against the serial
-// stepwise oracle.
+// stepwise oracle. Each invertible plan's InversePlan (the bridge's
+// reverse mapping) is one more input, run against the migrated
+// database.
 func TestParallelMigrateByteIdentical(t *testing.T) {
+	// check compares p's migration of src at every shard count with the
+	// stepwise oracle's, and returns the oracle's database.
+	check := func(name string, seed int64, p *Plan, src *netstore.DB) *netstore.DB {
+		t.Helper()
+		want, err := p.MigrateDataStepwise(src)
+		if err != nil {
+			t.Fatalf("%s seed %d stepwise: %v", name, seed, err)
+		}
+		wantDump, wantIdx := dumpDB(want), want.IndexDump()
+		wantProbes, wantScans := want.IndexStatsOf().Snapshot()
+		for _, par := range []int{1, 2, 8} {
+			got, stats, err := p.Migrate(context.Background(), src, MigrateOptions{Parallelism: par})
+			if err != nil {
+				t.Fatalf("%s seed %d par %d: %v", name, seed, par, err)
+			}
+			if d := dumpDB(got); d != wantDump {
+				t.Fatalf("%s seed %d par %d: database diverges from stepwise:\n--- parallel ---\n%s\n--- stepwise ---\n%s",
+					name, seed, par, d, wantDump)
+			}
+			if ix := got.IndexDump(); ix != wantIdx {
+				t.Fatalf("%s seed %d par %d: indexes diverge:\n--- parallel ---\n%s\n--- stepwise ---\n%s",
+					name, seed, par, ix, wantIdx)
+			}
+			if p, s := got.IndexStatsOf().Snapshot(); p != wantProbes || s != wantScans {
+				t.Errorf("%s seed %d par %d: index stats (%d, %d), want (%d, %d)",
+					name, seed, par, p, s, wantProbes, wantScans)
+			}
+			if stats.Shards < 1 {
+				t.Errorf("%s seed %d par %d: stats.Shards = %d", name, seed, par, stats.Shards)
+			}
+			if stats.BulkRecords < 1 {
+				t.Errorf("%s seed %d par %d: stats.BulkRecords = %d", name, seed, par, stats.BulkRecords)
+			}
+		}
+		return want
+	}
 	for name, p := range planTemplates() {
 		for _, seed := range []int64{41, 42, 43} {
 			src := randomCompanyDB(t, seed)
-			want, err := p.MigrateDataStepwise(src)
+			migrated := check(name, seed, p, src)
+			if !p.Invertible() {
+				continue
+			}
+			inv, err := p.InversePlan(src.Schema())
 			if err != nil {
-				t.Fatalf("%s seed %d stepwise: %v", name, seed, err)
+				t.Fatalf("%s seed %d inverse: %v", name, seed, err)
 			}
-			wantDump, wantIdx := dumpDB(want), want.IndexDump()
-			wantProbes, wantScans := want.IndexStatsOf().Snapshot()
-			for _, par := range []int{1, 2, 8} {
-				got, stats, err := p.Migrate(context.Background(), src, MigrateOptions{Parallelism: par})
-				if err != nil {
-					t.Fatalf("%s seed %d par %d: %v", name, seed, par, err)
-				}
-				if d := dumpDB(got); d != wantDump {
-					t.Fatalf("%s seed %d par %d: database diverges from stepwise:\n--- parallel ---\n%s\n--- stepwise ---\n%s",
-						name, seed, par, d, wantDump)
-				}
-				if ix := got.IndexDump(); ix != wantIdx {
-					t.Fatalf("%s seed %d par %d: indexes diverge:\n--- parallel ---\n%s\n--- stepwise ---\n%s",
-						name, seed, par, ix, wantIdx)
-				}
-				if p, s := got.IndexStatsOf().Snapshot(); p != wantProbes || s != wantScans {
-					t.Errorf("%s seed %d par %d: index stats (%d, %d), want (%d, %d)",
-						name, seed, par, p, s, wantProbes, wantScans)
-				}
-				if stats.Shards < 1 {
-					t.Errorf("%s seed %d par %d: stats.Shards = %d", name, seed, par, stats.Shards)
-				}
-				if stats.BulkRecords < 1 {
-					t.Errorf("%s seed %d par %d: stats.BulkRecords = %d", name, seed, par, stats.BulkRecords)
-				}
-			}
+			check(name+" inverse", seed, inv, migrated)
 		}
 	}
 }
@@ -148,31 +165,28 @@ func TestParallelMigrateShardStats(t *testing.T) {
 			parStats.BulkRecords, serialStats.BulkRecords, out.Len())
 	}
 	if parStats.FusedSteps != 4 || parStats.Passes != 1 {
-		t.Errorf("fuse stats = %+v, want 4 fused steps in 1 pass", parStats.FuseStats)
+		t.Errorf("fuse stats = %+v, want 4 fused steps in 1 pass", parStats)
 	}
 }
 
 // TestParallelMigrateErrorParity: a store-time failure (a default whose
 // kind contradicts the declared field kind) surfaces the identical
-// error string at every shard count, serial oracle included; so does
-// every failure a structural pass can raise.
+// error string, worded for the fused pass, at every shard count; every
+// failure a structural pass can raise matches the stepwise oracle's.
 func TestParallelMigrateErrorParity(t *testing.T) {
 	src := randomCompanyDB(t, 45)
 	p := &Plan{Steps: []Transformation{
 		RenameRecord{Old: "EMP", New: "EMPLOYEE"},
 		AddField{Record: "EMPLOYEE", Field: "BAD", Kind: value.Int, Default: value.Str("oops")},
 	}}
-	_, _, serr := p.MigrateDataFused(src)
-	if serr == nil {
-		t.Fatal("fused oracle did not fail")
-	}
+	const want = "xform: fused steps 1..2: netstore: EMPLOYEE.BAD: value kind STRING, field kind INT"
 	for _, par := range []int{1, 2, 8} {
 		_, _, err := p.Migrate(context.Background(), src, MigrateOptions{Parallelism: par})
 		if err == nil {
 			t.Fatalf("par %d: migration did not fail", par)
 		}
-		if err.Error() != serr.Error() {
-			t.Errorf("par %d error diverges:\nparallel: %v\nserial:   %v", par, err, serr)
+		if err.Error() != want {
+			t.Errorf("par %d error diverges:\nparallel: %v\nwant:     %s", par, err, want)
 		}
 	}
 
@@ -300,13 +314,18 @@ func TestParallelMigrateContextCanceled(t *testing.T) {
 }
 
 // TestParallelHierMigrate: the sharded hierarchical migration matches
-// the serial path byte for byte — hierarchic sequence and advisory
-// warnings — at every shard count, and the identity plan still clones.
+// the serial HierReorder.MigrateData byte for byte — hierarchic
+// sequence and advisory warnings — at every shard count, and the
+// identity plan still clones.
 func TestParallelHierMigrate(t *testing.T) {
 	src := personnelHierDB(t)
 	plan := &HierPlan{Steps: []HierReorder{{Promote: "EMP"}}}
 
-	want, wantWarnings, err := plan.MigrateData(src)
+	dst, err := plan.Steps[0].ApplySchema(src.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantWarnings, err := plan.Steps[0].MigrateData(src, dst)
 	if err != nil {
 		t.Fatal(err)
 	}

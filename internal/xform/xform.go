@@ -185,8 +185,14 @@ type Transformation interface {
 	// ApplySchema produces the transformed schema.
 	ApplySchema(src *schema.Network) (*schema.Network, error)
 	// MigrateData restructures a database instance into dst, which must
-	// be ApplySchema's result.
+	// be ApplySchema's result. It is the serial reference the migration
+	// engine (Plan.Migrate) is tested against.
 	MigrateData(src *netstore.DB, dst *schema.Network) (*netstore.DB, error)
+	// dataFns returns the functions the migration engine rebuilds the
+	// step's data with, given the step's input schema. Fns without a
+	// route are a pure per-record mapping and fuse with neighbouring
+	// routeless steps into one pass.
+	dataFns(src *schema.Network) (rebuildFns, error)
 	// Rewriter returns the program-conversion rules.
 	Rewriter(src *schema.Network) (*Rewriter, error)
 }
@@ -229,99 +235,9 @@ func (p *Plan) ApplySchema(src *schema.Network) (*schema.Network, error) {
 	return cur, nil
 }
 
-// fusible is the optional interface of catalogued transformations whose
-// data restructuring is a pure per-record / per-membership mapping —
-// exactly the functions they would hand to the generic rebuild. Runs of
-// fusible steps compose into a single pass over the occurrences.
-type fusible interface {
-	fuseFns() rebuildFns
-}
-
-// structural is the interface of the steps that synthesize or dissolve
-// intermediate occurrences. On the sharded path their data migration is
-// the generic rebuild with one set re-homed (see setRoute); they never
-// fuse.
-type structural interface {
-	routeFns(src *schema.Network) (rebuildFns, error)
-}
-
-// FuseStats reports how a plan's data migration executed: how many
-// steps were composed into fused single-pass runs, how many ran their
-// own full-database pass, and the total passes made.
-type FuseStats struct {
-	FusedSteps    int
-	StepwiseSteps int
-	Passes        int
-}
-
-// MigrateData chains the steps' data restructurings, fusing maximal
-// runs of per-record mapping steps into single passes. The result is
-// identical to MigrateDataStepwise for every plan whose stepwise
-// migration succeeds (a plan failing an intermediate-schema validity
-// check mid-chain may fail differently fused).
-func (p *Plan) MigrateData(src *netstore.DB) (*netstore.DB, error) {
-	out, _, err := p.MigrateDataFused(src)
-	return out, err
-}
-
-// MigrateDataFused is MigrateData with the fuse accounting exposed for
-// observability and benchmarks.
-func (p *Plan) MigrateDataFused(src *netstore.DB) (*netstore.DB, FuseStats, error) {
-	var stats FuseStats
-	cur := src
-	curSchema := src.Schema()
-	for i := 0; i < len(p.Steps); {
-		// Extend a maximal run of fusible steps starting at i.
-		j := i
-		for j < len(p.Steps) {
-			if _, ok := p.Steps[j].(fusible); !ok {
-				break
-			}
-			j++
-		}
-		if j-i >= 2 {
-			// Compose the run's mapping functions across the step chain
-			// and rebuild once, directly into the run's final schema.
-			finalSchema := curSchema
-			chain := make([]rebuildFns, 0, j-i)
-			for k := i; k < j; k++ {
-				next, err := p.Steps[k].ApplySchema(finalSchema)
-				if err != nil {
-					return nil, stats, fmt.Errorf("xform: %s: %w", p.Steps[k].Name(), err)
-				}
-				chain = append(chain, p.Steps[k].(fusible).fuseFns())
-				finalSchema = next
-			}
-			next, err := rebuild(cur, finalSchema, composeFns(chain))
-			if err != nil {
-				return nil, stats, fmt.Errorf("xform: fused steps %d..%d: %w", i+1, j, err)
-			}
-			stats.FusedSteps += j - i
-			stats.Passes++
-			cur, curSchema = next, finalSchema
-			i = j
-			continue
-		}
-		t := p.Steps[i]
-		nextSchema, err := t.ApplySchema(curSchema)
-		if err != nil {
-			return nil, stats, fmt.Errorf("xform: %s: %w", t.Name(), err)
-		}
-		next, err := t.MigrateData(cur, nextSchema)
-		if err != nil {
-			return nil, stats, fmt.Errorf("xform: %s: %w", t.Name(), err)
-		}
-		stats.StepwiseSteps++
-		stats.Passes++
-		cur, curSchema = next, nextSchema
-		i++
-	}
-	return cur, stats, nil
-}
-
-// MigrateDataStepwise chains the steps' data restructurings one
-// full-database pass per step — the pre-fusion path, kept as the
-// byte-identity oracle and benchmark baseline.
+// MigrateDataStepwise chains the steps' serial data restructurings one
+// full-database pass per step. It is the byte-identity oracle Migrate
+// is tested against and the benchmark baseline.
 func (p *Plan) MigrateDataStepwise(src *netstore.DB) (*netstore.DB, error) {
 	cur := src
 	curSchema := src.Schema()

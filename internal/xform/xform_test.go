@@ -1,6 +1,7 @@
 package xform
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -179,7 +180,7 @@ func TestRenameTransformations(t *testing.T) {
 	if v == nil || v.ViaSet != "DIV-WORKER" {
 		t.Errorf("virtual after set rename: %+v", v)
 	}
-	out, err := plan.MigrateData(src)
+	out, _, err := plan.Migrate(context.Background(), src, MigrateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,8 +493,8 @@ func TestPlanErrorPropagation(t *testing.T) {
 	if _, err := bad.ApplySchema(schema.CompanyV1()); err == nil {
 		t.Error("ApplySchema should propagate")
 	}
-	if _, err := bad.MigrateData(companyV1DB(t)); err == nil {
-		t.Error("MigrateData should propagate")
+	if _, _, err := bad.Migrate(context.Background(), companyV1DB(t), MigrateOptions{}); err == nil {
+		t.Error("Migrate should propagate")
 	}
 	if _, err := bad.Rewriters(schema.CompanyV1()); err == nil {
 		t.Error("Rewriters should propagate")
