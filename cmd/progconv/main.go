@@ -264,7 +264,7 @@ func cmdConvert(args []string) error {
 		"write stage spans as Chrome trace_event JSON to this file\n"+
 			"(load in chrome://tracing or ui.perfetto.dev)")
 	metricsOut := fs.String("metrics-out", "",
-		"write run counters in Prometheus text format to this file")
+		"write run counters and latency histograms in Prometheus text format to this file")
 	debugAddr := fs.String("debug-addr", "",
 		"serve pprof, expvar, /metrics and /statusz at this address (e.g. :6060);\n"+
 			"unauthenticated — keep it on loopback")
@@ -409,10 +409,12 @@ func cmdConvert(args []string) error {
 	if sink := progconv.MultiSink(sinks...); sink != nil {
 		opts = append(opts, progconv.WithEventSink(sink))
 	}
-	var rec *progconv.Recorder
-	if *stats || *traceOut != "" {
-		rec = progconv.NewRecorder()
-		opts = append(opts, progconv.WithRecorder(rec))
+	// Every timing consumer reads the stage-end durations WithMetrics
+	// puts on the event log: the -stats table, the trace's stage spans,
+	// and the registry's stage histogram behind -metrics-out and
+	// -debug-addr.
+	if *stats || *traceOut != "" || *metricsOut != "" || *debugAddr != "" {
+		opts = append(opts, progconv.WithMetrics())
 	}
 	// The trace builder mirrors the daemon's per-job span tree; the
 	// trace ID is derived from schema and program content, so the same
@@ -437,7 +439,7 @@ func cmdConvert(args []string) error {
 		expvar.Publish("progconv", expvar.Func(func() any { return tally.Snapshot() }))
 		metrics := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			if err := progconv.WritePrometheus(w, tally, nil); err != nil {
+			if err := tally.WritePrometheus(w); err != nil {
 				return
 			}
 			reg.WritePrometheus(w)
@@ -512,7 +514,7 @@ func cmdConvert(args []string) error {
 	if *metricsOut != "" {
 		tally.AddDataPlane(report.DataPlane)
 		if err := writeFileWith(*metricsOut, func(w *bufio.Writer) error {
-			if err := progconv.WritePrometheus(w, tally, report.Metrics); err != nil {
+			if err := tally.WritePrometheus(w); err != nil {
 				return err
 			}
 			return reg.WritePrometheus(w)

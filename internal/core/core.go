@@ -244,8 +244,9 @@ type Report struct {
 	MigrationWarnings []string
 	Outcomes          []Outcome
 	// Metrics summarizes per-stage timings when the supervisor ran with
-	// a metrics recorder (nil otherwise). It is rendered separately from
-	// String so serial and parallel reports stay byte-identical.
+	// a Metrics recorder (nil otherwise): the per-stage fold of the
+	// durations on the run's stage-end events. It is rendered separately
+	// from String so serial and parallel reports stay byte-identical.
 	Metrics *obs.Metrics
 	// DataPlane counts how the run's data-plane work executed: FIND
 	// index probes vs scans across this run (migration + verification)
@@ -358,8 +359,10 @@ type Supervisor struct {
 	// 1 forces a serial migration. The migrated database and every
 	// report field are byte-identical at any setting.
 	MigrationParallelism int
-	// Metrics, when non-nil, records one span per pipeline stage per
-	// program; Run snapshots it into Report.Metrics.
+	// Metrics, when non-nil, times every stage attempt: the duration
+	// goes on the stage-end event and into the recorder's per-stage
+	// accumulator, which Run snapshots into Report.Metrics. When nil,
+	// stage-end events carry a zero duration.
 	Metrics *obs.Recorder
 	// Events, when non-nil, receives the structured event log: stage
 	// boundaries, hazards, rewrites, Analyst decisions, verification
@@ -525,7 +528,8 @@ func (s *Supervisor) RunHier(ctx context.Context, src, dst *schema.Hierarchy, pl
 // assembled at submission order — reports[i] belongs to jobs[i] and is
 // byte-identical at any parallelism. The failure-policy budget and the
 // analyst serialization span the whole batch. Job reports carry no
-// Metrics snapshot; a caller-held Recorder aggregates across the batch
+// Metrics snapshot: the supervisor's Metrics recorder aggregates across
+// the batch, and per-job stage timings are on the stage-end events
 // (Run, the single-job form, attaches the snapshot itself).
 func (s *Supervisor) RunJobs(ctx context.Context, jobs []Job) ([]*Report, error) {
 	if err := ctx.Err(); err != nil {

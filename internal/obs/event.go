@@ -92,8 +92,8 @@ type Event struct {
 	Kind EventKind
 	// Stage is set for stage-start/stage-end events.
 	Stage Stage
-	// Dur is the stage duration on stage-end events (0 when the run has
-	// no metrics recorder).
+	// Dur is the stage duration on stage-end events (0 when the run was
+	// not timed; see progconv.WithMetrics).
 	Dur time.Duration
 	// Label is the event's low-cardinality dimension: hazard kind, DML
 	// verb, issue kind, "pass"/"fail", or disposition.

@@ -35,7 +35,7 @@ func TestNilEmitterNoOps(t *testing.T) {
 // allocations on the span hot path (warm recorder, nil emitter).
 func TestSpanHotPathZeroAlloc(t *testing.T) {
 	r := NewRecorder()
-	r.StartSpan("P", StageConvert).End() // warm the per-program slice
+	r.StartSpan("P", StageConvert).End() // warm the program-name set
 	var e *Emitter
 	if allocs := testing.AllocsPerRun(100, func() {
 		e.StageStart("P", StageConvert)

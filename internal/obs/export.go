@@ -1,18 +1,12 @@
 package obs
 
-// Exporters: the run's observability data in the two formats outside
-// tooling actually loads — Chrome trace_event JSON (chrome://tracing,
-// Perfetto) from the span recorder, and Prometheus text-format
-// exposition from the Tally counter sink plus the Metrics summary.
+// The Tally counter sink and its Prometheus text-format exposition.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"sync"
-	"time"
 )
 
 // Tally is a Sink that folds the event stream into counters: programs
@@ -140,34 +134,28 @@ func promFamily(w io.Writer, name, help, label string, m map[string]int64) error
 	return nil
 }
 
-// WritePrometheus renders the tally — and, when m is non-nil, the
-// per-stage latency histograms — in Prometheus text exposition format.
-// A nil *Tally is valid: the counter families are skipped and only the
-// metrics sections (when m is non-nil) are written.
-func (t *Tally) WritePrometheus(w io.Writer, m *Metrics) error {
-	var families []struct {
+// WritePrometheus renders the tally's counters in Prometheus text
+// exposition format. A nil *Tally is valid and writes nothing.
+func (t *Tally) WritePrometheus(w io.Writer) error {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	dp := t.dataplane
+	families := []struct {
 		name, help, label string
 		m                 map[string]int64
+	}{
+		{"progconv_programs_total", "Programs by conversion disposition.", "disposition", cloneCounts(t.dispositions)},
+		{"progconv_hazards_total", "Hazard findings by kind.", "kind", cloneCounts(t.hazards)},
+		{"progconv_dml_rewrites_total", "DML statements rewritten by verb.", "verb", cloneCounts(t.rewrites)},
+		{"progconv_verifications_total", "Equivalence verdicts by result.", "result", cloneCounts(t.verdicts)},
+		{"progconv_faults_total", "Resilience faults by kind (retry, panic, timeout).", "kind", cloneCounts(t.faults)},
+		{"progconv_cache_hits_total", "Conversion-cache hits by scope.", "scope", cloneCounts(t.cacheHits)},
+		{"progconv_cache_misses_total", "Conversion-cache misses by scope.", "scope", cloneCounts(t.cacheMisses)},
+		{"progconv_cache_evictions_total", "Conversion-cache LRU evictions by scope.", "scope", cloneCounts(t.cacheEvicts)},
 	}
-	var dp DataPlane
-	if t != nil {
-		t.mu.Lock()
-		dp = t.dataplane
-		families = []struct {
-			name, help, label string
-			m                 map[string]int64
-		}{
-			{"progconv_programs_total", "Programs by conversion disposition.", "disposition", cloneCounts(t.dispositions)},
-			{"progconv_hazards_total", "Hazard findings by kind.", "kind", cloneCounts(t.hazards)},
-			{"progconv_dml_rewrites_total", "DML statements rewritten by verb.", "verb", cloneCounts(t.rewrites)},
-			{"progconv_verifications_total", "Equivalence verdicts by result.", "result", cloneCounts(t.verdicts)},
-			{"progconv_faults_total", "Resilience faults by kind (retry, panic, timeout).", "kind", cloneCounts(t.faults)},
-			{"progconv_cache_hits_total", "Conversion-cache hits by scope.", "scope", cloneCounts(t.cacheHits)},
-			{"progconv_cache_misses_total", "Conversion-cache misses by scope.", "scope", cloneCounts(t.cacheMisses)},
-			{"progconv_cache_evictions_total", "Conversion-cache LRU evictions by scope.", "scope", cloneCounts(t.cacheEvicts)},
-		}
-		t.mu.Unlock()
-	}
+	t.mu.Unlock()
 	for _, f := range families {
 		if err := promFamily(w, f.name, f.help, f.label, f.m); err != nil {
 			return err
@@ -177,61 +165,23 @@ func (t *Tally) WritePrometheus(w io.Writer, m *Metrics) error {
 	// unconditionally (zeros included): a registered time series that
 	// disappears between scrapes breaks rate() and alerting, so the
 	// family set never depends on whether activity happened yet.
-	if t != nil {
-		for _, c := range []struct {
-			name, help string
-			v          int64
-		}{
-			{"progconv_index_probes_total", "FIND requests answered by an exact-key index probe.", dp.IndexProbes},
-			{"progconv_index_scans_total", "FIND requests answered by a full occurrence scan.", dp.IndexScans},
-			{"progconv_migration_fused_steps_total", "Migration steps executed inside fused single-pass runs.", dp.FusedSteps},
-			{"progconv_migration_stepwise_steps_total", "Migration steps executed as their own full-database pass.", dp.StepwiseSteps},
-			{"progconv_migration_shards_total", "Shards the sharded migration rebuild passes fanned out into.", dp.MigrationShards},
-			{"progconv_bulk_loaded_records_total", "Records inserted through the bulk-load merge phase.", dp.BulkLoadedRecords},
-		} {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n",
-				c.name, c.help, c.name, c.name, c.v); err != nil {
-				return err
-			}
-		}
-	}
-	if m == nil {
-		return nil
-	}
-	if _, err := fmt.Fprintf(w,
-		"# HELP progconv_stage_duration_seconds Per-program pipeline stage latency.\n# TYPE progconv_stage_duration_seconds histogram\n"); err != nil {
-		return err
-	}
-	for _, st := range m.ByStage {
-		if st.Count == 0 {
-			continue
-		}
-		stage := st.Stage.String()
-		var cum int64
-		for i := 0; i < numBuckets-1; i++ {
-			cum += st.Buckets[i]
-			le := strconv.FormatFloat(BucketBound(i).Seconds(), 'g', -1, 64)
-			if _, err := fmt.Fprintf(w,
-				"progconv_stage_duration_seconds_bucket{stage=%q,le=%q} %d\n", stage, le, cum); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w,
-			"progconv_stage_duration_seconds_bucket{stage=%q,le=\"+Inf\"} %d\n", stage, st.Count); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "progconv_stage_duration_seconds_sum{stage=%q} %s\n",
-			stage, strconv.FormatFloat(st.Total.Seconds(), 'g', -1, 64)); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "progconv_stage_duration_seconds_count{stage=%q} %d\n",
-			stage, st.Count); err != nil {
+	for _, c := range []struct {
+		name, help string
+		v          int64
+	}{
+		{"progconv_index_probes_total", "FIND requests answered by an exact-key index probe.", dp.IndexProbes},
+		{"progconv_index_scans_total", "FIND requests answered by a full occurrence scan.", dp.IndexScans},
+		{"progconv_migration_fused_steps_total", "Migration steps executed inside fused single-pass runs.", dp.FusedSteps},
+		{"progconv_migration_stepwise_steps_total", "Migration steps executed as their own full-database pass.", dp.StepwiseSteps},
+		{"progconv_migration_shards_total", "Shards the sharded migration rebuild passes fanned out into.", dp.MigrationShards},
+		{"progconv_bulk_loaded_records_total", "Records inserted through the bulk-load merge phase.", dp.BulkLoadedRecords},
+	} {
+		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n",
+			c.name, c.help, c.name, c.name, c.v); err != nil {
 			return err
 		}
 	}
-	_, err := fmt.Fprintf(w, "# HELP progconv_run_wall_seconds Batch wall-clock time.\n# TYPE progconv_run_wall_seconds gauge\nprogconv_run_wall_seconds %s\n",
-		strconv.FormatFloat(m.Wall.Seconds(), 'g', -1, 64))
-	return err
+	return nil
 }
 
 func cloneCounts(m map[string]int64) map[string]int64 {
@@ -240,69 +190,4 @@ func cloneCounts(m map[string]int64) map[string]int64 {
 		out[k] = v
 	}
 	return out
-}
-
-// traceEvent is one Chrome trace_event entry ("X" complete spans and
-// "M" thread-name metadata).
-type traceEvent struct {
-	Name string            `json:"name"`
-	Cat  string            `json:"cat,omitempty"`
-	Ph   string            `json:"ph"`
-	Ts   float64           `json:"ts"`
-	Dur  float64           `json:"dur,omitempty"`
-	Pid  int               `json:"pid"`
-	Tid  int               `json:"tid"`
-	Args map[string]string `json:"args,omitempty"`
-}
-
-// WriteChromeTrace exports the recorder's spans as Chrome trace_event
-// JSON: one virtual thread per program (named), one complete ("X")
-// event per stage span, timestamps relative to recorder start. Load the
-// file in chrome://tracing or https://ui.perfetto.dev.
-func WriteChromeTrace(w io.Writer, r *Recorder) error {
-	if r == nil {
-		_, err := io.WriteString(w, `{"traceEvents":[]}`)
-		return err
-	}
-	programs := r.Programs()
-	events := make([]traceEvent, 0, 2*len(programs))
-	for tid, prog := range programs {
-		events = append(events, traceEvent{
-			Name: "thread_name", Ph: "M", Pid: 1, Tid: tid + 1,
-			Args: map[string]string{"name": prog},
-		})
-		for _, sp := range r.Trace(prog) {
-			events = append(events, traceEvent{
-				Name: sp.Stage.String(), Cat: "stage", Ph: "X",
-				Ts:  float64(sp.Start.Sub(r.start)) / float64(time.Microsecond),
-				Dur: float64(sp.Dur) / float64(time.Microsecond),
-				Pid: 1, Tid: tid + 1,
-				Args: map[string]string{"program": prog},
-			})
-		}
-	}
-	if _, err := io.WriteString(w, `{"traceEvents":[`); err != nil {
-		return err
-	}
-	for i, ev := range events {
-		if i > 0 {
-			if _, err := io.WriteString(w, ","); err != nil {
-				return err
-			}
-		}
-		if err := encodeTraceEvent(w, ev); err != nil {
-			return err
-		}
-	}
-	_, err := io.WriteString(w, "]}\n")
-	return err
-}
-
-func encodeTraceEvent(w io.Writer, ev traceEvent) error {
-	b, err := json.Marshal(ev)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
 }

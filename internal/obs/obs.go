@@ -1,15 +1,17 @@
 // Package obs is the supervisor's observability substrate:
 //
-//   - per-stage atomic counters and duration histograms plus a span
-//     recorder keyed by program name (this file) — the Metrics summary
-//     embedded in the conversion Report and rendered by `progconv
-//     convert -stats` and cmd/exper;
+//   - the Recorder (this file): per-stage atomic counters and duration
+//     histograms, the Metrics summary embedded in the conversion Report
+//     and rendered by `progconv convert -stats` and cmd/exper; the
+//     duration each span returns is the one the supervisor puts on the
+//     stage-end event;
 //   - the structured event log (event.go): typed Events through a Sink,
 //     with a bounded RingSink, a streaming JSONL encoder, and a nil-safe
 //     Emitter so uninstrumented runs pay nothing;
-//   - exporters (export.go): Chrome trace_event JSON for
-//     chrome://tracing / Perfetto, and Prometheus text-format counters
-//     fed by the Tally sink.
+//   - the Tally sink (export.go): event-derived counters with their
+//     Prometheus text exposition. Stage latency histograms and the
+//     Chrome trace export live in internal/telemetry, folded from the
+//     same stage-end events.
 //
 // The package is stdlib-only and safe for concurrent use: the hot path
 // (span End, no-sink event emission) touches only atomics and one short
@@ -19,7 +21,6 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -107,31 +108,23 @@ func (a *stageAccum) observe(d time.Duration) {
 	a.buckets[bucketOf(d)].Add(1)
 }
 
-// Recorder collects spans during one conversion run. The zero value is
-// not ready; use NewRecorder.
+// Recorder accumulates stage timings during one conversion run. The
+// zero value is not ready; use NewRecorder.
 type Recorder struct {
 	stages [numStages]stageAccum
 	start  time.Time
 
-	mu    sync.Mutex
-	spans map[string][]Span // program name → completed spans
+	mu       sync.Mutex
+	programs map[string]struct{} // distinct instrumented program names
 }
 
 // NewRecorder returns a recorder with the wall clock started.
 func NewRecorder() *Recorder {
-	r := &Recorder{start: time.Now(), spans: map[string][]Span{}}
+	r := &Recorder{start: time.Now(), programs: map[string]struct{}{}}
 	for i := range r.stages {
 		r.stages[i].min.Store(int64(^uint64(0) >> 1))
 	}
 	return r
-}
-
-// Span is one completed stage execution for one program.
-type Span struct {
-	Program string
-	Stage   Stage
-	Start   time.Time
-	Dur     time.Duration
 }
 
 // ActiveSpan is a started, not-yet-ended span. It is a value (not a
@@ -154,60 +147,20 @@ func (r *Recorder) StartSpan(program string, stage Stage) ActiveSpan {
 	return ActiveSpan{rec: r, program: program, stage: stage, start: time.Now()}
 }
 
-// End finishes the span and returns its duration: the duration lands in
-// the stage's atomic accumulator and the span in the per-program trace.
-// A zero-value span returns 0 and records nothing.
+// End finishes the span and returns its duration, which also lands in
+// the stage's atomic accumulator. A zero-value span returns 0 and
+// records nothing.
 func (s ActiveSpan) End() time.Duration {
 	if s.rec == nil {
 		return 0
 	}
 	d := time.Since(s.start)
-	s.rec.observe(s.program, s.stage, s.start, d)
+	r := s.rec
+	r.stages[s.stage].observe(d)
+	r.mu.Lock()
+	r.programs[s.program] = struct{}{}
+	r.mu.Unlock()
 	return d
-}
-
-// Observe records an already-measured span directly — the replay/import
-// path used by tests and external span sources.
-func (r *Recorder) Observe(program string, stage Stage, start time.Time, d time.Duration) {
-	if r == nil {
-		return
-	}
-	r.observe(program, stage, start, d)
-}
-
-func (r *Recorder) observe(program string, stage Stage, start time.Time, d time.Duration) {
-	r.stages[stage].observe(d)
-	r.mu.Lock()
-	r.spans[program] = append(r.spans[program],
-		Span{Program: program, Stage: stage, Start: start, Dur: d})
-	r.mu.Unlock()
-}
-
-// Programs returns the instrumented program names, sorted — the stable
-// thread order of the Chrome trace exporter.
-func (r *Recorder) Programs() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	out := make([]string, 0, len(r.spans))
-	for name := range r.spans {
-		out = append(out, name)
-	}
-	r.mu.Unlock()
-	sort.Strings(out)
-	return out
-}
-
-// Trace returns the completed spans recorded for one program, in end
-// order.
-func (r *Recorder) Trace(program string) []Span {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Span(nil), r.spans[program]...)
 }
 
 // StageStats is one stage's aggregate across a run.
@@ -246,7 +199,7 @@ func (r *Recorder) Snapshot() *Metrics {
 	}
 	m := &Metrics{Wall: time.Since(r.start)}
 	r.mu.Lock()
-	m.Programs = len(r.spans)
+	m.Programs = len(r.programs)
 	r.mu.Unlock()
 	for i := range r.stages {
 		a := &r.stages[i]
@@ -327,38 +280,4 @@ func (m *Metrics) String() string {
 	}
 	b.WriteString("histogram buckets: 1µs·4ⁱ upper bounds (<1µs, <4µs, <16µs, …; last bucket unbounded)\n")
 	return b.String()
-}
-
-// Slowest returns the n programs with the largest summed span time,
-// slowest first — the supervisor's answer to "which conversions cost".
-func (r *Recorder) Slowest(n int) []ProgramCost {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	costs := make([]ProgramCost, 0, len(r.spans))
-	for name, spans := range r.spans {
-		var total time.Duration
-		for _, s := range spans {
-			total += s.Dur
-		}
-		costs = append(costs, ProgramCost{Program: name, Total: total})
-	}
-	r.mu.Unlock()
-	sort.Slice(costs, func(i, j int) bool {
-		if costs[i].Total != costs[j].Total {
-			return costs[i].Total > costs[j].Total
-		}
-		return costs[i].Program < costs[j].Program
-	})
-	if n < len(costs) {
-		costs = costs[:n]
-	}
-	return costs
-}
-
-// ProgramCost is one program's summed stage time.
-type ProgramCost struct {
-	Program string
-	Total   time.Duration
 }

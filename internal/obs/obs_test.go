@@ -34,9 +34,6 @@ func TestSpanAccumulation(t *testing.T) {
 	if got := m.Stage(StageVerify).Count; got != 0 {
 		t.Errorf("verify count = %d, want 0", got)
 	}
-	if len(r.Trace("P1")) != 3 || len(r.Trace("P2")) != 1 {
-		t.Errorf("traces = %d/%d, want 3/1", len(r.Trace("P1")), len(r.Trace("P2")))
-	}
 }
 
 func TestNilRecorderIsInert(t *testing.T) {
@@ -46,8 +43,7 @@ func TestNilRecorderIsInert(t *testing.T) {
 		t.Errorf("nil-recorder span duration = %v, want 0", d)
 	}
 	(ActiveSpan{}).End() // the zero-value span is equally inert
-	r.Observe("X", StageVerify, time.Now(), time.Second)
-	if r.Snapshot() != nil || r.Trace("X") != nil || r.Slowest(5) != nil || r.Programs() != nil {
+	if r.Snapshot() != nil {
 		t.Error("nil recorder should return nil summaries")
 	}
 }
@@ -109,53 +105,6 @@ func TestMetricsString(t *testing.T) {
 	}
 	if strings.Contains(s, "verify") {
 		t.Errorf("empty stage rendered:\n%s", s)
-	}
-}
-
-func TestSlowest(t *testing.T) {
-	r := NewRecorder()
-	slow := r.StartSpan("SLOW", StageConvert)
-	time.Sleep(2 * time.Millisecond)
-	slow.End()
-	fast := r.StartSpan("FAST", StageConvert)
-	fast.End()
-	costs := r.Slowest(1)
-	if len(costs) != 1 || costs[0].Program != "SLOW" {
-		t.Errorf("slowest = %+v", costs)
-	}
-}
-
-// TestSlowestTieBreak: equal totals order by program name, so the
-// ranking (like every other report surface) is deterministic.
-func TestSlowestTieBreak(t *testing.T) {
-	r := NewRecorder()
-	now := time.Now()
-	for _, name := range []string{"ZEBRA", "ALPHA", "MIDDLE"} {
-		r.Observe(name, StageConvert, now, 5*time.Millisecond)
-	}
-	costs := r.Slowest(3)
-	if len(costs) != 3 {
-		t.Fatalf("costs = %d, want 3", len(costs))
-	}
-	for i, want := range []string{"ALPHA", "MIDDLE", "ZEBRA"} {
-		if costs[i].Program != want {
-			t.Errorf("costs[%d] = %s, want %s (name tie-break)", i, costs[i].Program, want)
-		}
-	}
-	// n larger than the population returns everything.
-	if got := r.Slowest(10); len(got) != 3 {
-		t.Errorf("Slowest(10) = %d entries, want 3", len(got))
-	}
-}
-
-func TestProgramsSorted(t *testing.T) {
-	r := NewRecorder()
-	now := time.Now()
-	r.Observe("B", StageAnalyze, now, time.Microsecond)
-	r.Observe("A", StageAnalyze, now, time.Microsecond)
-	got := r.Programs()
-	if len(got) != 2 || got[0] != "A" || got[1] != "B" {
-		t.Errorf("Programs() = %v, want [A B]", got)
 	}
 }
 

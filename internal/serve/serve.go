@@ -191,7 +191,7 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) MetricsHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := progconv.WritePrometheus(w, s.tally, nil); err != nil {
+		if err := s.tally.WritePrometheus(w); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}

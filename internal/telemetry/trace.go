@@ -90,7 +90,7 @@ type Span struct {
 	Label  string
 	Detail string
 	// Start is the offset from the run's emitter start; Dur the span
-	// duration (0 when the run has no metrics recorder).
+	// duration (0 when the run was not timed; see progconv.WithMetrics).
 	Start time.Duration
 	Dur   time.Duration
 }

@@ -81,11 +81,8 @@ type (
 	Retry         = core.Retry
 
 	// Metrics is the per-stage timing summary embedded in a Report when
-	// the run was instrumented with WithMetrics; Recorder collects it and
-	// Span is one completed stage execution.
-	Metrics  = obs.Metrics
-	Recorder = obs.Recorder
-	Span     = obs.Span
+	// the run was instrumented with WithMetrics.
+	Metrics = obs.Metrics
 
 	// The structured event log: Events of the listed EventKinds flow to a
 	// Sink installed via WithEventSink. RingSink, JSONLSink and Tally are
@@ -305,7 +302,6 @@ type options struct {
 	metrics              bool
 	verifyDB             *Database
 	verifyHierDB         *HierDatabase
-	recorder             *Recorder
 	sink                 Sink
 	programTimeout       time.Duration
 	stageTimeout         time.Duration
@@ -345,7 +341,10 @@ func WithMigrationParallelism(n int) Option {
 
 // WithMetrics instruments the run: each program's analyze → convert →
 // optimize → generate → verify chain is timed per stage and the summary
-// lands in Report.Metrics.
+// lands in Report.Metrics. The same durations ride on the stage-end
+// events, so an event sink, a trace builder (span Dur) and the
+// telemetry stage histogram all see them; without WithMetrics they
+// are 0.
 func WithMetrics() Option {
 	return func(o *options) { o.metrics = true }
 }
@@ -372,15 +371,6 @@ func WithVerifyHierDB(db *HierDatabase) Option {
 // with MultiSink; a nil sink leaves the run unobserved.
 func WithEventSink(s Sink) Option {
 	return func(o *options) { o.sink = s }
-}
-
-// WithRecorder instruments the run with a caller-owned span recorder —
-// like WithMetrics, but the recorder outlives the run so its per-program
-// traces can feed WriteChromeTrace or span-level analysis. When both
-// WithRecorder and WithMetrics are given, the recorder wins and
-// Report.Metrics is snapshotted from it.
-func WithRecorder(r *Recorder) Option {
-	return func(o *options) { o.recorder = r }
 }
 
 // WithProgramTimeout budgets one program's whole analyze → verify
@@ -536,11 +526,9 @@ func (o *options) supervisor() *core.Supervisor {
 	}
 	sup.Parallelism = o.parallelism
 	sup.MigrationParallelism = o.migrationParallelism
-	rec := o.recorder
-	if rec == nil && o.metrics {
-		rec = obs.NewRecorder()
+	if o.metrics {
+		sup.Metrics = obs.NewRecorder()
 	}
-	sup.Metrics = rec
 	sup.Events = o.sink
 	if o.trace != nil {
 		sup.Events = obs.MultiSink(o.trace, o.sink)
@@ -560,9 +548,6 @@ func (o *options) supervisor() *core.Supervisor {
 // Install it with WithCache; one cache may serve any number of
 // concurrent Convert and ConvertJobs calls.
 func NewCache(maxPairs int) *Cache { return plancache.New(maxPairs) }
-
-// NewRecorder returns a span recorder for WithRecorder.
-func NewRecorder() *Recorder { return obs.NewRecorder() }
 
 // NewRingSink returns a bounded in-memory event sink keeping the newest
 // capacity events.
@@ -601,12 +586,6 @@ func ExitCodeFor(r *Report, failOn string) (ExitCode, string) {
 	return wire.ExitFor(r, failOn)
 }
 
-// WriteChromeTrace exports a recorder's spans as Chrome trace_event JSON
-// loadable in chrome://tracing or Perfetto.
-func WriteChromeTrace(w io.Writer, r *Recorder) error {
-	return obs.WriteChromeTrace(w, r)
-}
-
 // NewTraceBuilder starts a trace for WithTraceSink: id becomes the
 // TraceID (DeriveTraceID, or an inbound traceparent's), name the root
 // span's display name.
@@ -642,19 +621,11 @@ func EncodeTraceJSON(w io.Writer, tr *Trace, omitTiming bool) error {
 }
 
 // WriteTraceChrome renders a span tree as Chrome trace_event JSON
-// loadable in chrome://tracing or Perfetto — the span-tree successor
-// of WriteChromeTrace's recorder rendering, carrying cache probes,
-// retries, verdicts, and faults alongside the stage spans.
+// loadable in chrome://tracing or Perfetto: stage spans alongside
+// cache probes, retries, verdicts, and faults. Stage spans carry
+// durations when the run was timed (WithMetrics).
 func WriteTraceChrome(w io.Writer, tr *Trace) error {
 	return telemetry.WriteChromeTrace(w, tr)
-}
-
-// WritePrometheus renders a tally (and optionally a Report's Metrics)
-// in Prometheus text exposition format. A nil tally is valid — only the
-// metrics sections are written — so runs instrumented with WithMetrics
-// alone export without constructing a Tally.
-func WritePrometheus(w io.Writer, t *Tally, m *Metrics) error {
-	return t.WritePrometheus(w, m)
 }
 
 // ParseProgram parses database-program source text in any of the four

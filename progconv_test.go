@@ -7,6 +7,10 @@ package progconv
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,6 +18,7 @@ import (
 	"progconv/internal/corpus"
 	"progconv/internal/dbprog"
 	"progconv/internal/schema"
+	"progconv/internal/telemetry"
 )
 
 func corpusPrograms(t *testing.T) []*Program {
@@ -32,11 +37,17 @@ func corpusPrograms(t *testing.T) []*Program {
 // TestConvertParallelCorpus drives the EXP-C1 corpus through the public
 // facade on the default (GOMAXPROCS-sized) worker pool. Run under
 // `go test -race` this is the framework's data-race acceptance test.
+// It also checks that the three folds of the stage-end durations —
+// Report.Metrics, the trace's stage spans and the registry's stage
+// histogram — agree per stage.
 func TestConvertParallelCorpus(t *testing.T) {
 	progs := corpusPrograms(t)
 	db := corpus.Database(corpus.PeriodProfile(42))
+	reg := telemetry.NewRegistry()
+	inst := telemetry.NewInstruments(reg)
+	tb := NewTraceBuilder(DeriveTraceID("parallel-corpus"), "convert")
 	report, err := Convert(context.Background(), schema.CompanyV1(), nil, figurePlan(), progs,
-		WithVerifyDB(db), WithMetrics())
+		WithVerifyDB(db), WithMetrics(), WithTraceSink(tb), WithEventSink(inst.StageSink()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +64,54 @@ func TestConvertParallelCorpus(t *testing.T) {
 		t.Error("no automatic conversions over the period corpus")
 	}
 	if report.Metrics == nil || report.Metrics.Programs != len(progs) {
-		t.Errorf("metrics = %+v", report.Metrics)
+		t.Fatalf("metrics = %+v", report.Metrics)
 	}
+
+	var expo strings.Builder
+	if err := reg.WritePrometheus(&expo); err != nil {
+		t.Fatal(err)
+	}
+	spanN := map[string]int64{}
+	spanDur := map[string]time.Duration{}
+	for _, sp := range report.Trace.Spans {
+		if sp.Kind == SpanStage {
+			spanN[sp.Stage]++
+			spanDur[sp.Stage] += sp.Dur
+		}
+	}
+	for _, st := range report.Metrics.ByStage {
+		name := st.Stage.String()
+		if st.Count > 0 && st.Total == 0 {
+			t.Errorf("%s: %d attempts timed at 0s under WithMetrics", name, st.Count)
+		}
+		if n := inst.Stage.Count(name); n != st.Count {
+			t.Errorf("%s: registry count %d, Metrics count %d", name, n, st.Count)
+		}
+		if spanN[name] != st.Count || spanDur[name] != st.Total {
+			t.Errorf("%s: trace %d spans / %v, Metrics %d / %v",
+				name, spanN[name], spanDur[name], st.Count, st.Total)
+		}
+		sum := promSample(t, expo.String(), fmt.Sprintf("progconv_stage_latency_seconds_sum{stage=%q}", name))
+		if want := st.Total.Seconds(); math.Abs(sum-want) > 1e-9*math.Max(math.Abs(sum), math.Abs(want)) {
+			t.Errorf("%s: registry sum %gs, Metrics total %gs", name, sum, want)
+		}
+	}
+}
+
+// promSample returns the value of the exposition sample named series.
+func promSample(t *testing.T, expo, series string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(expo, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", series, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("exposition has no %s sample", series)
+	return 0
 }
 
 // TestConvertDeterministicAcrossParallelism: a serial run and an
