@@ -138,21 +138,20 @@ func BenchmarkConvert(b *testing.B) {
 }
 
 // BenchmarkConvertTraced is the same conversion with the full telemetry
-// plane installed: trace builder, stage-latency sink, and tally — the
-// daemon's per-job instrumentation. EXP-O1's target is <3% overhead
+// plane installed: trace builder and the metrics instruments as the
+// event sink — the daemon's per-job instrumentation. EXP-O1's target is <3% overhead
 // over BenchmarkConvert.
 func BenchmarkConvertTraced(b *testing.B) {
 	progs, db := convertBenchWorkload(b)
 	reg := telemetry.NewRegistry()
 	inst := telemetry.NewInstruments(reg)
-	tally := NewTally()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tb := NewTraceBuilder(DeriveTraceID("bench"), "convert")
 		report, err := Convert(context.Background(), schema.CompanyV1(), schema.CompanyV2(),
 			nil, progs, WithParallelism(1), WithVerifyDB(db.Clone()),
-			WithTraceSink(tb), WithEventSink(MultiSink(tally, inst.StageSink())))
+			WithTraceSink(tb), WithEventSink(inst))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -13,6 +13,7 @@ import (
 
 	"progconv/internal/corpus"
 	"progconv/internal/schema"
+	"progconv/internal/telemetry"
 	"progconv/internal/xform"
 )
 
@@ -28,11 +29,12 @@ func TestSharedCacheHitsExported(t *testing.T) {
 	}
 
 	cache := NewCache(8)
-	tally := NewTally()
+	reg := telemetry.NewRegistry()
+	inst := telemetry.NewInstruments(reg)
 	for i := 0; i < 2; i++ {
 		report, err := Convert(context.Background(), schema.CompanyV1(), schema.CompanyV2(), nil, progs,
 			WithVerifyDB(corpus.Database(corpus.PeriodProfile(42))),
-			WithCache(cache), WithEventSink(tally))
+			WithCache(cache), WithEventSink(inst))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +44,7 @@ func TestSharedCacheHitsExported(t *testing.T) {
 	}
 
 	var buf strings.Builder
-	if err := tally.WritePrometheus(&buf); err != nil {
+	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -55,6 +55,7 @@ import (
 	"progconv/internal/semantic"
 	"progconv/internal/sequel"
 	"progconv/internal/serve"
+	"progconv/internal/telemetry"
 	"progconv/internal/value"
 	"progconv/internal/wire"
 	"progconv/internal/xform"
@@ -428,7 +429,8 @@ func expC1() {
 			return p
 		}()},
 	}
-	tally := obs.NewTally()
+	reg := telemetry.NewRegistry()
+	inst := telemetry.NewInstruments(reg)
 	for _, row := range profiles {
 		members, err := corpus.Programs(row.p)
 		if err != nil {
@@ -442,7 +444,7 @@ func expC1() {
 		sup := core.NewSupervisor()
 		sup.Verify = false
 		sup.Metrics = obs.NewRecorder()
-		sup.Events = tally
+		sup.Events = inst
 		report, err := sup.Run(context.Background(), schema.CompanyV1(), nil, figurePlan(), nil, progs)
 		if err != nil {
 			fmt.Println("error:", err)
@@ -457,15 +459,14 @@ func expC1() {
 	}
 	fmt.Println("\n(wall = batch elapsed on the concurrent supervisor;",
 		"analyze/convert = mean per-program stage time)")
-	snap := tally.Snapshot()
-	keys := make([]string, 0, len(snap))
-	for k := range snap {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	fmt.Println("\nevent-log tally across the three strict runs:")
-	for _, k := range keys {
-		fmt.Printf("  %-32s %6d\n", k, snap[k])
+	fmt.Println("\nevent-log counters across the three strict runs:")
+	var expo strings.Builder
+	reg.WritePrometheus(&expo)
+	for _, line := range strings.Split(expo.String(), "\n") {
+		if name, n, ok := strings.Cut(line, " "); ok && strings.HasPrefix(line, "progconv_") &&
+			strings.Contains(name, "_total") {
+			fmt.Printf("  %-56s %6s\n", name, n)
+		}
 	}
 	fmt.Println("\nshape target: the period-realistic row lands in the paper's 65-70% band.")
 	fmt.Println("With an analyst accepting order changes, the qualified share converts too:")
@@ -1215,12 +1216,12 @@ func expR1() {
 	fmt.Printf("  transient  %s/analyze, %s/analyze (2 retries armed)\n",
 		progs[20].Name, progs[30].Name)
 
-	run := func(parallelism int) (*core.Report, *obs.Tally) {
-		tally := obs.NewTally()
+	run := func(parallelism int) (*core.Report, *telemetry.Instruments) {
+		inst := telemetry.NewInstruments(telemetry.NewRegistry())
 		sup := &core.Supervisor{
 			Analyst:       core.Policy{},
 			Parallelism:   parallelism,
-			Events:        tally,
+			Events:        inst,
 			StageTimeout:  400 * time.Millisecond,
 			Retries:       2,
 			Sleep:         func(ctx context.Context, _ time.Duration) error { return ctx.Err() },
@@ -1232,11 +1233,11 @@ func expR1() {
 			fmt.Println("error:", err)
 			os.Exit(int(wire.ExitError))
 		}
-		return report, tally
+		return report, inst
 	}
 
 	serial, _ := run(1)
-	parallel, tally := run(8)
+	parallel, inst := run(8)
 
 	auto, qualified, manual := parallel.Counts()
 	fmt.Printf("\nbatch completed under collect-errors: %d auto, %d qualified, %d manual, %d failed\n",
@@ -1251,14 +1252,8 @@ func expR1() {
 		}
 	}
 	fmt.Println("\nevent-log fault counters (parallel run) vs injected plan:")
-	faults := tally.Faults()
-	keys := make([]string, 0, len(faults))
-	for k := range faults {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Printf("  %-10s %d\n", k, faults[k])
+	for _, k := range []string{"panic", "retry", "timeout"} {
+		fmt.Printf("  %-10s %d\n", k, inst.Faults.Get(k))
 	}
 	if serial.String() == parallel.String() {
 		fmt.Println("\nreport byte-identical at parallelism 1 and 8: yes")

@@ -23,7 +23,6 @@ import (
 	"bufio"
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
@@ -380,8 +379,8 @@ func cmdConvert(args []string) error {
 		}
 	}
 
-	// Event sinks: a streaming JSONL file and/or a counter tally feeding
-	// the Prometheus file and the live expvar endpoint.
+	// Event sinks: a streaming JSONL file and/or the metrics instruments
+	// feeding the Prometheus file and the live /metrics endpoint.
 	var sinks []progconv.Sink
 	var jsonl *progconv.JSONLSink
 	var eventsBuf *bufio.Writer
@@ -396,15 +395,12 @@ func cmdConvert(args []string) error {
 		jsonl = progconv.NewJSONLSink(eventsBuf)
 		sinks = append(sinks, jsonl)
 	}
-	var tally *progconv.Tally
 	var reg *telemetry.Registry
 	var inst *telemetry.Instruments
 	if *metricsOut != "" || *debugAddr != "" {
-		tally = progconv.NewTally()
-		sinks = append(sinks, tally)
 		reg = telemetry.NewRegistry()
 		inst = telemetry.NewInstruments(reg)
-		sinks = append(sinks, inst.StageSink())
+		sinks = append(sinks, inst)
 	}
 	if sink := progconv.MultiSink(sinks...); sink != nil {
 		opts = append(opts, progconv.WithEventSink(sink))
@@ -435,13 +431,9 @@ func cmdConvert(args []string) error {
 	}
 	if *debugAddr != "" {
 		// Same surface as the daemon's -debug-addr: pprof, expvar,
-		// Prometheus text and a human statusz — not just expvar.
-		expvar.Publish("progconv", expvar.Func(func() any { return tally.Snapshot() }))
+		// Prometheus text and a human statusz.
 		metrics := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			if err := tally.WritePrometheus(w); err != nil {
-				return
-			}
 			reg.WritePrometheus(w)
 		})
 		statusz := telemetry.StatuszHandler(time.Now(), telemetry.StatusSection{
@@ -512,11 +504,7 @@ func cmdConvert(args []string) error {
 		}
 	}
 	if *metricsOut != "" {
-		tally.AddDataPlane(report.DataPlane)
 		if err := writeFileWith(*metricsOut, func(w *bufio.Writer) error {
-			if err := tally.WritePrometheus(w); err != nil {
-				return err
-			}
 			return reg.WritePrometheus(w)
 		}); err != nil {
 			return fmt.Errorf("metrics: %w", err)

@@ -29,7 +29,7 @@
 //	                       the stage-end events (trace span and
 //	                       stage-histogram durations)
 //	WithEventSink(s)       stream the structured event log to s
-//	                       (RingSink, JSONLSink, Tally, MultiSink)
+//	                       (RingSink, JSONLSink, MultiSink)
 //	WithTraceSink(tb)      fold the event log into tb's span tree
 //	                       (NewTraceBuilder, DeriveTraceID); the
 //	                       finished trace lands on Report.Trace

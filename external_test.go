@@ -112,11 +112,11 @@ END PROGRAM.
 		t.Errorf("analyst timeout outcome = %+v", o)
 	}
 
-	tally := progconv.NewTally()
+	ring := progconv.NewRingSink(256)
 	report, err = progconv.Convert(context.Background(), src, dst, nil, progs,
 		progconv.WithAnalyst(panickyAnalyst{}),
 		progconv.WithFailurePolicy(progconv.CollectErrors),
-		progconv.WithEventSink(tally))
+		progconv.WithEventSink(ring))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +125,14 @@ END PROGRAM.
 		o.Audit.Failure.Kind != progconv.FailPanic {
 		t.Fatalf("analyst panic outcome = %+v", o)
 	}
-	if tally.Faults()["panic"] != 1 {
-		t.Errorf("faults = %v", tally.Faults())
+	panics := 0
+	for _, ev := range ring.Events() {
+		if ev.Kind == progconv.EvPanic {
+			panics++
+		}
+	}
+	if panics != 1 {
+		t.Errorf("panic events = %d, want 1", panics)
 	}
 	if !strings.Contains(report.String(), "1 failed of 1 programs") {
 		t.Errorf("summary:\n%s", report)

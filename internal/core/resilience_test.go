@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -12,8 +13,8 @@ import (
 	"progconv/internal/corpus"
 	"progconv/internal/dbprog"
 	"progconv/internal/fault"
-	"progconv/internal/obs"
 	"progconv/internal/schema"
+	"progconv/internal/telemetry"
 )
 
 // instantSleep is the injected sleeper: retry chains cost no wall time.
@@ -46,8 +47,8 @@ func chaosCorpus(t *testing.T) []*dbprog.Program {
 // criterion: a 50-program batch at parallelism 8 absorbs an injected
 // panic, a stage timeout, and two transient errors; the run completes,
 // the report is byte-identical to a serial run, the affected programs
-// carry the evidence in their audit trails, and the Tally's fault
-// counters reconcile exactly against the injected plan.
+// carry the evidence in their audit trails, and the metrics registry's
+// fault counters reconcile exactly against the injected plan.
 func TestChaosInjectedFaultsAtScale(t *testing.T) {
 	progs := chaosCorpus(t)
 	const stageBudget = 400 * time.Millisecond
@@ -60,13 +61,13 @@ func TestChaosInjectedFaultsAtScale(t *testing.T) {
 		fault.Rule{Kind: fault.Transient, Prog: transientB, Stage: "analyze"},
 	)
 
-	runAt := func(parallelism int) (*Report, *obs.Tally) {
+	runAt := func(parallelism int) (*Report, *telemetry.Registry) {
 		t.Helper()
-		tally := obs.NewTally()
+		reg := telemetry.NewRegistry()
 		sup := &Supervisor{
 			Analyst:       Policy{},
 			Parallelism:   parallelism,
-			Events:        tally,
+			Events:        telemetry.NewInstruments(reg),
 			StageTimeout:  stageBudget,
 			Retries:       2,
 			Sleep:         instantSleep,
@@ -77,11 +78,11 @@ func TestChaosInjectedFaultsAtScale(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", parallelism, err)
 		}
-		return report, tally
+		return report, reg
 	}
 
-	serial, serialTally := runAt(1)
-	parallel, parallelTally := runAt(8)
+	serial, serialReg := runAt(1)
+	parallel, parallelReg := runAt(8)
 
 	if s, p := serial.String(), parallel.String(); s != p {
 		t.Fatalf("chaos report not byte-identical across parallelism:\n--- serial ---\n%s\n--- parallel ---\n%s", s, p)
@@ -125,18 +126,27 @@ func TestChaosInjectedFaultsAtScale(t *testing.T) {
 		t.Errorf("summary missing failed count:\n%s", parallel.String())
 	}
 
-	// The Tally reconciles exactly against the injected fault plan, at
-	// either parallelism.
-	want := map[string]int64{"panic": 1, "timeout": 1, "retry": 2}
-	for which, tally := range map[string]*obs.Tally{"serial": serialTally, "parallel": parallelTally} {
-		got := tally.Faults()
-		if len(got) != len(want) {
-			t.Errorf("%s faults = %v, want %v", which, got, want)
+	// The registry's fault series reconcile exactly against the
+	// injected fault plan, at either parallelism: the exposition holds
+	// exactly these three series.
+	want := []string{
+		`progconv_faults_total{kind="panic"} 1`,
+		`progconv_faults_total{kind="retry"} 2`,
+		`progconv_faults_total{kind="timeout"} 1`,
+	}
+	for which, reg := range map[string]*telemetry.Registry{"serial": serialReg, "parallel": parallelReg} {
+		var expo strings.Builder
+		if err := reg.WritePrometheus(&expo); err != nil {
+			t.Fatal(err)
 		}
-		for kind, n := range want {
-			if got[kind] != n {
-				t.Errorf("%s faults[%q] = %d, want %d", which, kind, got[kind], n)
+		var got []string
+		for _, line := range strings.Split(expo.String(), "\n") {
+			if strings.HasPrefix(line, "progconv_faults_total{") {
+				got = append(got, line)
 			}
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s fault series = %q, want %q", which, got, want)
 		}
 	}
 }
@@ -319,9 +329,9 @@ func (a slowAnalyst) Decide(string, analyzer.Issue) bool {
 // strict-policy fallback — the consultation is recorded as declined and
 // timed out, the program routes to Manual, and the batch never stalls.
 func TestResilienceAnalystTimeout(t *testing.T) {
-	tally := obs.NewTally()
+	inst := telemetry.NewInstruments(telemetry.NewRegistry())
 	sup := &Supervisor{Analyst: slowAnalyst{d: 2 * time.Second},
-		AnalystTimeout: 25 * time.Millisecond, Events: tally}
+		AnalystTimeout: 25 * time.Millisecond, Events: inst}
 	start := time.Now()
 	report, err := sup.Run(context.Background(),
 		schema.CompanyV1(), nil, planFigure(), nil, applicationSystem(t))
@@ -347,8 +357,8 @@ func TestResilienceAnalystTimeout(t *testing.T) {
 	if !strings.Contains(printAll.Audit.Reason, "timed out") {
 		t.Errorf("reason = %q", printAll.Audit.Reason)
 	}
-	if tally.Faults()["timeout"] != 1 {
-		t.Errorf("faults = %v, want one timeout", tally.Faults())
+	if n := inst.Faults.Get("timeout"); n != 1 {
+		t.Errorf("timeout faults = %d, want 1", n)
 	}
 }
 

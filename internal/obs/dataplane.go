@@ -20,37 +20,3 @@ type DataPlane struct {
 
 // Zero reports whether no data-plane activity was recorded.
 func (d DataPlane) Zero() bool { return d == DataPlane{} }
-
-// Add returns the element-wise sum.
-func (d DataPlane) Add(o DataPlane) DataPlane {
-	return DataPlane{
-		IndexProbes:       d.IndexProbes + o.IndexProbes,
-		IndexScans:        d.IndexScans + o.IndexScans,
-		FusedSteps:        d.FusedSteps + o.FusedSteps,
-		StepwiseSteps:     d.StepwiseSteps + o.StepwiseSteps,
-		MigrationShards:   d.MigrationShards + o.MigrationShards,
-		BulkLoadedRecords: d.BulkLoadedRecords + o.BulkLoadedRecords,
-	}
-}
-
-// AddDataPlane folds a report's data-plane counters into the tally so
-// they surface through Snapshot and WritePrometheus alongside the
-// event-derived families.
-func (t *Tally) AddDataPlane(d DataPlane) {
-	if t == nil || d.Zero() {
-		return
-	}
-	t.mu.Lock()
-	t.dataplane = t.dataplane.Add(d)
-	t.mu.Unlock()
-}
-
-// DataPlaneTotals returns the folded data-plane counters.
-func (t *Tally) DataPlaneTotals() DataPlane {
-	if t == nil {
-		return DataPlane{}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dataplane
-}

@@ -4,8 +4,9 @@ package obs
 // makes — stage boundaries, hazard findings, DML rewrites, Analyst
 // consultations, verification verdicts, final dispositions — is emitted
 // as a typed Event through a Sink. Sinks compose (MultiSink); a bounded
-// RingSink for in-memory capture and the Tally counter collector in
-// export.go live here, the streaming wire.JSONLSink in internal/wire.
+// RingSink for in-memory capture lives here, the streaming
+// wire.JSONLSink in internal/wire, and the metrics sink
+// telemetry.Instruments in internal/telemetry.
 //
 // Instrumented code holds an *Emitter, the nil-safe front door: a nil
 // Emitter (no sink installed) makes every method a no-op without a

@@ -8,10 +8,11 @@
 //   - the structured event log (event.go): typed Events through a Sink,
 //     with a bounded RingSink, a streaming JSONL encoder, and a nil-safe
 //     Emitter so uninstrumented runs pay nothing;
-//   - the Tally sink (export.go): event-derived counters with their
-//     Prometheus text exposition. Stage latency histograms and the
-//     Chrome trace export live in internal/telemetry, folded from the
-//     same stage-end events.
+//   - the DataPlane report totals (dataplane.go).
+//
+// The event-derived counters, the stage latency histograms and their
+// Prometheus exposition live in internal/telemetry (Instruments is a
+// Sink), as does the Chrome trace export; all fold the same events.
 //
 // The package is stdlib-only and safe for concurrent use: the hot path
 // (span End, no-sink event emission) touches only atomics and one short

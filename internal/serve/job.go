@@ -212,7 +212,7 @@ func (s *Server) options(j *job) []progconv.Option {
 		progconv.WithRetries(o.Retries, 0),
 		progconv.WithFailurePolicy(policy),
 		progconv.WithMetrics(),
-		progconv.WithEventSink(progconv.MultiSink(j.hub, s.tally, s.inst.StageSink())),
+		progconv.WithEventSink(progconv.MultiSink(j.hub, s.inst)),
 	}
 	if j.trace != nil {
 		opts = append(opts, progconv.WithTraceSink(j.trace))
@@ -290,7 +290,6 @@ func (s *Server) runJob(j *job) {
 		j.trace.End(time.Since(jobStart))
 	}
 	if err == nil && report != nil {
-		s.tally.AddDataPlane(report.DataPlane)
 		s.inst.ObserveDataPlane(report.DataPlane)
 	}
 

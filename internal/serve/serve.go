@@ -14,7 +14,7 @@
 //   - per-job deadlines clamped to a server maximum, mapped onto the
 //     supervisor's timeout/retry/failure-policy options;
 //   - observability: /healthz, /readyz, and the Prometheus text
-//     exporter at /metrics folding every job's event tally;
+//     exporter at /metrics folding every job's event stream;
 //   - graceful drain: StartDrain (wired to SIGTERM in cmd/progconvd)
 //     stops admissions with 503 while in-flight and queued jobs run to
 //     completion, then the runner pool exits.
@@ -91,11 +91,10 @@ func (c Config) retryAfter() time.Duration {
 // and call StartDrain/Wait (or Drain) to shut down gracefully.
 type Server struct {
 	cfg   Config
-	tally *progconv.Tally
 	start time.Time
 
-	// The telemetry plane: histogram instruments and gauges exported
-	// at /metrics alongside the tally counters, and summarized on
+	// The telemetry plane: the instruments every job's events fold
+	// into, plus gauges, exported at /metrics and summarized on
 	// /statusz. inflight counts jobs currently on a runner.
 	reg      *telemetry.Registry
 	inst     *telemetry.Instruments
@@ -115,7 +114,6 @@ type Server struct {
 func New(cfg Config) *Server {
 	s := &Server{
 		cfg:         cfg,
-		tally:       progconv.NewTally(),
 		start:       time.Now(),
 		reg:         telemetry.NewRegistry(),
 		jobs:        make(map[string]*job),
@@ -185,16 +183,12 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// MetricsHandler returns the Prometheus scrape handler: the event
-// tally's counter families followed by the telemetry registry's
-// histograms and gauges. cmd/progconvd mounts it on -debug-addr too.
+// MetricsHandler returns the Prometheus scrape handler: the telemetry
+// registry's histograms, counters and gauges. cmd/progconvd mounts it
+// on -debug-addr too.
 func (s *Server) MetricsHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := s.tally.WritePrometheus(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
 		if err := s.reg.WritePrometheus(w); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}

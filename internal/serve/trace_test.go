@@ -220,7 +220,7 @@ func TestTraceOmitTimingDeterministic(t *testing.T) {
 }
 
 // TestMetricsAndStatusz: the daemon's /metrics serves the four
-// histogram families plus gauges alongside the tally counters, and
+// histogram families, the event-derived counters and the gauges, and
 // /statusz renders the human snapshot.
 func TestMetricsAndStatusz(t *testing.T) {
 	_, ts := newTestServer(t, Config{Cache: newTestCache()})
@@ -233,7 +233,7 @@ func TestMetricsAndStatusz(t *testing.T) {
 	}
 	out := string(body)
 	for _, want := range []string{
-		// Tally counter families.
+		// Event-derived counter families.
 		"progconv_programs_total",
 		// Data-plane counters export even before/without traffic.
 		"progconv_index_probes_total",
@@ -263,6 +263,36 @@ func TestMetricsAndStatusz(t *testing.T) {
 	for _, want := range []string{"== server ==", "== cache ==", "== histograms ==", "admitted", "progconv_job_duration_seconds"} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/statusz missing %q:\n%s", want, body)
+		}
+	}
+}
+
+// TestMetricsFaultSeriesBeforeFirstFault: a fresh daemon exports every
+// fault series as zero, so rate(progconv_faults_total[5m]) has data on
+// a healthy server, and one writer declares each family once.
+func TestMetricsFaultSeriesBeforeFirstFault(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	code, body := getBody(t, ts.URL+"/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("/metrics: HTTP %d", code)
+	}
+	out := string(body)
+	for _, want := range []string{
+		`progconv_faults_total{kind="panic"} 0`,
+		`progconv_faults_total{kind="retry"} 0`,
+		`progconv_faults_total{kind="timeout"} 0`,
+	} {
+		if !strings.Contains(out, want+"\n") {
+			t.Errorf("/metrics missing %q:\n%s", want, out)
+		}
+	}
+	typed := map[string]bool{}
+	for _, line := range strings.Split(out, "\n") {
+		if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			if typed[name] {
+				t.Errorf("duplicate %q", line)
+			}
+			typed[name] = true
 		}
 	}
 }

@@ -1,15 +1,17 @@
 package telemetry
 
-// Histogram instruments and gauges with a Prometheus text exporter.
-// Bucket boundaries are fixed at construction — the same deterministic
-// 1µs·4ⁱ geometry internal/obs uses for stage spans — and every
-// registered series is rendered unconditionally (zero counts
-// included), so scrapers never see series appear, disappear, or shift
-// buckets between scrapes.
+// Histogram instruments, counters and gauges with the one Prometheus
+// text exporter in the repository, and the standard Instruments set
+// every front end registers. Bucket boundaries are fixed at
+// construction — the same deterministic 1µs·4ⁱ geometry internal/obs
+// uses for stage spans — and every registered series is rendered
+// unconditionally (zero counts included), so scrapers never see series
+// appear, disappear, or shift buckets between scrapes.
 
 import (
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -115,32 +117,23 @@ type gauge struct {
 	fn         func() float64
 }
 
-// counterSeries is one labeled monotonic counter.
-type counterSeries struct {
-	label string
-	n     int64
-}
-
 // Counters is one counter metric family: any number of labeled
 // monotonic series, created on first Add or pre-registered so they
-// export as zeros. Safe for concurrent use.
+// export as zeros. Series render sorted by label, so the exposition
+// does not depend on the order labels first appeared in. Safe for
+// concurrent use.
 type Counters struct {
 	name, help, labelKey string
 
-	mu      sync.Mutex
-	series  []*counterSeries
-	byLabel map[string]*counterSeries
+	mu     sync.Mutex
+	counts map[string]int64
 }
 
 // Add increments the labeled series by delta, creating it on first
 // use. The label is "" for label-free counters.
 func (c *Counters) Add(label string, delta int64) {
 	c.mu.Lock()
-	s := c.byLabel[label]
-	if s == nil {
-		s = c.register(label)
-	}
-	s.n += delta
+	c.counts[label] += delta
 	c.mu.Unlock()
 }
 
@@ -148,42 +141,41 @@ func (c *Counters) Add(label string, delta int64) {
 func (c *Counters) Get(label string) int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if s := c.byLabel[label]; s != nil {
-		return s.n
-	}
-	return 0
+	return c.counts[label]
 }
 
-// register adds a series; the caller holds c.mu (or is
-// Registry.Counters before the family is published).
-func (c *Counters) register(label string) *counterSeries {
-	s := &counterSeries{label: label}
-	c.series = append(c.series, s)
-	c.byLabel[label] = s
-	return s
+// counterSample is one series' value at snapshot time.
+type counterSample struct {
+	label string
+	n     int64
+}
+
+// snapshot copies the series, sorted by label.
+func (c *Counters) snapshot() []counterSample {
+	c.mu.Lock()
+	out := make([]counterSample, 0, len(c.counts))
+	for l, n := range c.counts {
+		out = append(out, counterSample{l, n})
+	}
+	c.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].label < out[j].label })
+	return out
+}
+
+// selector renders one series' label set ("" for label-free counters).
+func (c *Counters) selector(label string) string {
+	if c.labelKey == "" {
+		return ""
+	}
+	return fmt.Sprintf("{%s=%q}", c.labelKey, label)
 }
 
 func (c *Counters) writePrometheus(w io.Writer) error {
-	c.mu.Lock()
-	type snap struct {
-		label string
-		n     int64
-	}
-	snaps := make([]snap, 0, len(c.series))
-	for _, s := range c.series {
-		snaps = append(snaps, snap{s.label, s.n})
-	}
-	c.mu.Unlock()
-
 	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", c.name, c.help, c.name); err != nil {
 		return err
 	}
-	for _, s := range snaps {
-		sel := ""
-		if c.labelKey != "" {
-			sel = fmt.Sprintf("{%s=%q}", c.labelKey, s.label)
-		}
-		if _, err := fmt.Fprintf(w, "%s%s %d\n", c.name, sel, s.n); err != nil {
+	for _, s := range c.snapshot() {
+		if _, err := fmt.Fprintf(w, "%s%s %d\n", c.name, c.selector(s.label), s.n); err != nil {
 			return err
 		}
 	}
@@ -193,8 +185,9 @@ func (c *Counters) writePrometheus(w io.Writer) error {
 // Registry holds an instrument set for one process: histogram
 // families, counter families and gauges, rendered together by
 // WritePrometheus. Families, counters and gauges render in
-// registration order, series in label-registration order, so the
-// exposition is byte-stable for a deterministic observation sequence.
+// registration order; histogram series render in label-registration
+// order and counter series sorted by label, so the exposition is
+// byte-stable for a deterministic observation sequence.
 type Registry struct {
 	mu       sync.Mutex
 	families []*Family
@@ -231,15 +224,12 @@ func (r *Registry) Family(name, help, labelKey string, bounds []float64, labels 
 // dimension ("" for a label-free counter); labels pre-registers series
 // so they export as zeros before their first Add.
 func (r *Registry) Counters(name, help, labelKey string, labels ...string) *Counters {
-	c := &Counters{
-		name: name, help: help, labelKey: labelKey,
-		byLabel: map[string]*counterSeries{},
-	}
+	c := &Counters{name: name, help: help, labelKey: labelKey, counts: map[string]int64{}}
 	if len(labels) == 0 && labelKey == "" {
 		labels = []string{""}
 	}
 	for _, l := range labels {
-		c.register(l)
+		c.counts[l] = 0
 	}
 	r.mu.Lock()
 	r.counters = append(r.counters, c)
@@ -360,15 +350,9 @@ func (r *Registry) WriteSummary(w io.Writer) {
 		f.mu.Unlock()
 	}
 	for _, c := range counters {
-		c.mu.Lock()
-		for _, s := range c.series {
-			name := c.name
-			if c.labelKey != "" {
-				name = fmt.Sprintf("%s{%s=%q}", c.name, c.labelKey, s.label)
-			}
-			fmt.Fprintf(w, "  %-60s value=%d\n", name, s.n)
+		for _, s := range c.snapshot() {
+			fmt.Fprintf(w, "  %-60s value=%d\n", c.name+c.selector(s.label), s.n)
 		}
-		c.mu.Unlock()
 	}
 	for _, g := range gauges {
 		fmt.Fprintf(w, "  %-60s value=%s\n", g.name, formatFloat(g.fn()))
@@ -377,7 +361,10 @@ func (r *Registry) WriteSummary(w io.Writer) {
 
 // Instruments is the standard progconv instrument set, registered
 // identically by the daemon and the CLI so dashboards work against
-// either front end.
+// either front end. It is also an obs.Sink: installed on a run's event
+// stream, it folds stage-end events into the stage histogram and
+// outcome, hazard, rewrite, verification, fault and cache events into
+// the counter families.
 type Instruments struct {
 	// QueueWait is the admission-queue wait per job (daemon only; the
 	// CLI has no queue and leaves it at zero).
@@ -385,22 +372,42 @@ type Instruments struct {
 	// JobDur is end-to-end job latency, runner pickup to report.
 	JobDur *Family
 	// Stage is per-program stage-attempt latency by stage name, fed
-	// from stage-end events by StageSink.
+	// from stage-end events.
 	Stage *Family
 	// Probes is the per-job data-plane FIND work count by resolution
 	// ("probe" = exact-key index probe, "scan" = full occurrence scan).
 	Probes *Family
+
+	// The event-derived counters, each keyed by the event's label —
+	// except Faults, keyed by event kind ("retry", "panic", "timeout"),
+	// the numbers chaos tests reconcile against the injected fault plan.
+	Programs, Hazards, Rewrites, Verifications, Faults *Counters
+	CacheHits, CacheMisses, CacheEvictions             *Counters
+
+	// dataPlane holds the label-free report totals, in dataPlaneFamilies
+	// order; ObserveDataPlane adds to them.
+	dataPlane [len(dataPlaneFamilies)]*Counters
+}
+
+// dataPlaneFamilies names the label-free data-plane counters.
+var dataPlaneFamilies = [...]struct{ name, help string }{
+	{"progconv_index_probes_total", "FIND requests answered by an exact-key index probe."},
+	{"progconv_index_scans_total", "FIND requests answered by a full occurrence scan."},
+	{"progconv_migration_fused_steps_total", "Migration steps executed inside fused single-pass runs."},
+	{"progconv_migration_stepwise_steps_total", "Migration steps executed as their own full-database pass."},
+	{"progconv_migration_shards_total", "Shards the sharded migration rebuild passes fanned out into."},
+	{"progconv_bulk_loaded_records_total", "Records inserted through the bulk-load merge phase."},
 }
 
 // NewInstruments registers the standard families on r. Stage series
-// are pre-registered for every pipeline stage so all five export from
-// the first scrape.
+// are pre-registered for every pipeline stage, and fault series for
+// every fault kind, so they export from the first scrape.
 func NewInstruments(r *Registry) *Instruments {
 	stages := make([]string, 0, len(obs.Stages()))
 	for _, st := range obs.Stages() {
 		stages = append(stages, st.String())
 	}
-	return &Instruments{
+	in := &Instruments{
 		QueueWait: r.Family("progconv_queue_wait_seconds",
 			"Time a job waited in the admission queue before a runner picked it up.",
 			"", LatencyBuckets()),
@@ -413,24 +420,54 @@ func NewInstruments(r *Registry) *Instruments {
 		Probes: r.Family("progconv_dataplane_probe_count",
 			"Per-job data-plane FIND lookups by resolution (index probe vs full scan).",
 			"op", CountBuckets(), "probe", "scan"),
+		Programs:      r.Counters("progconv_programs_total", "Programs by conversion disposition.", "disposition"),
+		Hazards:       r.Counters("progconv_hazards_total", "Hazard findings by kind.", "kind"),
+		Rewrites:      r.Counters("progconv_dml_rewrites_total", "DML statements rewritten by verb.", "verb"),
+		Verifications: r.Counters("progconv_verifications_total", "Equivalence verdicts by result.", "result"),
+		Faults: r.Counters("progconv_faults_total", "Resilience faults by kind (retry, panic, timeout).", "kind",
+			obs.EvRetry.String(), obs.EvPanic.String(), obs.EvTimeout.String()),
+		CacheHits:      r.Counters("progconv_cache_hits_total", "Conversion-cache hits by scope.", "scope"),
+		CacheMisses:    r.Counters("progconv_cache_misses_total", "Conversion-cache misses by scope.", "scope"),
+		CacheEvictions: r.Counters("progconv_cache_evictions_total", "Conversion-cache LRU evictions by scope.", "scope"),
+	}
+	for i, f := range dataPlaneFamilies {
+		in.dataPlane[i] = r.Counters(f.name, f.help, "")
+	}
+	return in
+}
+
+// Emit implements obs.Sink; compose it with the run's other sinks via
+// MultiSink.
+func (in *Instruments) Emit(ev obs.Event) {
+	switch ev.Kind {
+	case obs.EvStageEnd:
+		in.Stage.ObserveDuration(ev.Stage.String(), ev.Dur)
+	case obs.EvOutcome:
+		in.Programs.Add(ev.Label, 1)
+	case obs.EvHazard:
+		in.Hazards.Add(ev.Label, 1)
+	case obs.EvRewrite:
+		in.Rewrites.Add(ev.Label, 1)
+	case obs.EvVerify:
+		in.Verifications.Add(ev.Label, 1)
+	case obs.EvRetry, obs.EvPanic, obs.EvTimeout:
+		in.Faults.Add(ev.Kind.String(), 1)
+	case obs.EvCacheHit:
+		in.CacheHits.Add(ev.Label, 1)
+	case obs.EvCacheMiss:
+		in.CacheMisses.Add(ev.Label, 1)
+	case obs.EvCacheEvict:
+		in.CacheEvictions.Add(ev.Label, 1)
 	}
 }
 
-// stageSink folds stage-end events into the stage latency family.
-type stageSink struct{ fam *Family }
-
-func (s stageSink) Emit(ev obs.Event) {
-	if ev.Kind == obs.EvStageEnd {
-		s.fam.ObserveDuration(ev.Stage.String(), ev.Dur)
-	}
-}
-
-// StageSink returns an event sink feeding the stage histogram; compose
-// it with the run's other sinks via MultiSink.
-func (in *Instruments) StageSink() obs.Sink { return stageSink{in.Stage} }
-
-// ObserveDataPlane records one finished job's data-plane counters.
+// ObserveDataPlane records one finished job's data-plane counters: the
+// per-job probe/scan histogram and the running totals.
 func (in *Instruments) ObserveDataPlane(dp obs.DataPlane) {
 	in.Probes.Observe("probe", float64(dp.IndexProbes))
 	in.Probes.Observe("scan", float64(dp.IndexScans))
+	for i, n := range [len(dataPlaneFamilies)]int64{dp.IndexProbes, dp.IndexScans, dp.FusedSteps,
+		dp.StepwiseSteps, dp.MigrationShards, dp.BulkLoadedRecords} {
+		in.dataPlane[i].Add("", n)
+	}
 }

@@ -21,7 +21,7 @@ func TestConcurrentEmitAndScrape(t *testing.T) {
 	b := NewTraceBuilder(id, "race")
 	r := NewRegistry()
 	in := NewInstruments(r)
-	sink := obs.MultiSink(b, in.StageSink())
+	sink := obs.MultiSink(b, in)
 	e := obs.NewEmitter(sink)
 
 	var names []string
@@ -105,5 +105,11 @@ func TestConcurrentEmitAndScrape(t *testing.T) {
 	}
 	if got := in.Stage.Count("analyze"); got != 8*rounds {
 		t.Errorf("analyze observations = %d, want %d", got, 8*rounds)
+	}
+	if got := in.Rewrites.Get("get"); got != 8*rounds {
+		t.Errorf("get rewrites = %d, want %d", got, 8*rounds)
+	}
+	if got := in.Programs.Get("auto"); got != 8 {
+		t.Errorf("auto programs = %d, want 8", got)
 	}
 }

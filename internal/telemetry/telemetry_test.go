@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -216,6 +217,10 @@ func TestRegistryWritePrometheus(t *testing.T) {
 	in.Stage.ObserveDuration("analyze", 5*time.Microsecond)
 	in.ObserveDataPlane(obs.DataPlane{IndexProbes: 12, IndexScans: 2})
 	r.Gauge("progconv_test_gauge", "A test gauge.", func() float64 { return 7 })
+	// Counter series render sorted by label, not in first-Add order.
+	c := r.Counters("progconv_test_total", "A test counter.", "k")
+	c.Add("b", 2)
+	c.Add("a", 1)
 
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
@@ -235,6 +240,11 @@ func TestRegistryWritePrometheus(t *testing.T) {
 		"# TYPE progconv_queue_wait_seconds histogram",
 		"# TYPE progconv_test_gauge gauge",
 		"progconv_test_gauge 7",
+		"progconv_index_probes_total 12",
+		"progconv_index_scans_total 2",
+		"# TYPE progconv_test_total counter\n" +
+			`progconv_test_total{k="a"} 1` + "\n" +
+			`progconv_test_total{k="b"} 2` + "\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
@@ -251,6 +261,138 @@ func TestRegistryWritePrometheus(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Error("two scrapes of an idle registry differ")
+	}
+}
+
+// promLine matches the three legal line shapes of the Prometheus text
+// exposition format (comment, labelled sample, bare sample).
+var promLine = regexp.MustCompile(`^(# (HELP|TYPE) [a-zA-Z_:][a-zA-Z0-9_:]* .+` +
+	`|[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="[^"]*"(,[a-zA-Z_][a-zA-Z0-9_]*="[^"]*")*\})? [0-9eE.+-]+(Inf)?)$`)
+
+// testInstruments folds a small event stream into a fresh registry.
+func testInstruments() (*Registry, *Instruments) {
+	r := NewRegistry()
+	in := NewInstruments(r)
+	e := obs.NewEmitter(in)
+	e.Outcome("A", "auto", "r")
+	e.Outcome("B", "manual", "r")
+	e.Outcome("C", "auto", "r")
+	e.Hazard("B", "order-dependence", "m")
+	e.Rewrite("A", "get", "EMP")
+	e.Rewrite("A", "move", "EMP")
+	e.Rewrite("C", "get", "EMP")
+	e.Verify("A", true, "ok")
+	e.Verify("C", false, "diff")
+	return r, in
+}
+
+// TestWritePrometheusFormat lints the whole exposition: every line
+// parses, HELP/TYPE precede their samples, no family is declared
+// twice, and the output ends with a newline.
+func TestWritePrometheusFormat(t *testing.T) {
+	r, _ := testInstruments()
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if !strings.HasSuffix(out, "\n") {
+		t.Error("output does not end with a newline")
+	}
+	typed := map[string]bool{}
+	for i, line := range strings.Split(strings.TrimRight(out, "\n"), "\n") {
+		if !promLine.MatchString(line) {
+			t.Errorf("line %d fails format lint: %q", i+1, line)
+			continue
+		}
+		if strings.HasPrefix(line, "# TYPE ") {
+			name := strings.Fields(line)[2]
+			if typed[name] {
+				t.Errorf("line %d: family %q declared twice", i+1, name)
+			}
+			typed[name] = true
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		name := line[:strings.IndexAny(line, "{ ")]
+		declared := typed[name]
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			declared = declared || typed[strings.TrimSuffix(name, suffix)]
+		}
+		if !declared {
+			t.Errorf("line %d: sample %q precedes its # TYPE", i+1, name)
+		}
+	}
+	for _, want := range []string{
+		`progconv_programs_total{disposition="auto"} 2`,
+		`progconv_hazards_total{kind="order-dependence"} 1`,
+		`progconv_dml_rewrites_total{verb="get"} 2`,
+		`progconv_verifications_total{result="pass"} 1`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestInstrumentsFaultCounters: retry/panic/timeout events fold into
+// the faults family, surfaced by Faults.Get and the exposition.
+func TestInstrumentsFaultCounters(t *testing.T) {
+	r := NewRegistry()
+	in := NewInstruments(r)
+	e := obs.NewEmitter(in)
+	e.Retry("A", "analyze", 1, 50*time.Millisecond, "transient: boom")
+	e.Retry("B", "generate", 1, 50*time.Millisecond, "transient: boom")
+	e.Panic("C", "convert", "injected")
+	e.Timeout("D", "analyze", 25*time.Millisecond)
+	e.Timeout("E", "program", time.Second)
+
+	for kind, want := range map[string]int64{"retry": 2, "panic": 1, "timeout": 2} {
+		if got := in.Faults.Get(kind); got != want {
+			t.Errorf("Faults.Get(%q) = %d, want %d", kind, got, want)
+		}
+	}
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`progconv_faults_total{kind="retry"} 2`,
+		`progconv_faults_total{kind="panic"} 1`,
+		`progconv_faults_total{kind="timeout"} 2`,
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("output missing %q:\n%s", want, buf.String())
+		}
+	}
+}
+
+// TestInstrumentsZerosBeforeTraffic: the fault series and the six
+// data-plane counters export as zeros before any event or report, so
+// rate() and alerts see a series from the first scrape.
+func TestInstrumentsZerosBeforeTraffic(t *testing.T) {
+	r := NewRegistry()
+	NewInstruments(r)
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`progconv_faults_total{kind="panic"} 0`,
+		`progconv_faults_total{kind="retry"} 0`,
+		`progconv_faults_total{kind="timeout"} 0`,
+		"progconv_index_probes_total 0",
+		"progconv_index_scans_total 0",
+		"progconv_migration_fused_steps_total 0",
+		"progconv_migration_stepwise_steps_total 0",
+		"progconv_migration_shards_total 0",
+		"progconv_bulk_loaded_records_total 0",
+	} {
+		if !strings.Contains(buf.String(), want+"\n") {
+			t.Errorf("fresh registry missing %q:\n%s", want, buf.String())
+		}
 	}
 }
 

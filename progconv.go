@@ -85,15 +85,14 @@ type (
 	Metrics = obs.Metrics
 
 	// The structured event log: Events of the listed EventKinds flow to a
-	// Sink installed via WithEventSink. RingSink, JSONLSink and Tally are
-	// the provided sinks; Audit and Decision are the per-outcome decision
+	// Sink installed via WithEventSink. RingSink and JSONLSink are the
+	// provided sinks; Audit and Decision are the per-outcome decision
 	// trail.
 	Event     = obs.Event
 	EventKind = obs.EventKind
 	Sink      = obs.Sink
 	RingSink  = obs.RingSink
 	JSONLSink = wire.JSONLSink
-	Tally     = obs.Tally
 	Audit     = core.Audit
 	Decision  = core.Decision
 
@@ -556,9 +555,6 @@ func NewRingSink(capacity int) *RingSink { return obs.NewRingSink(capacity) }
 // NewJSONLSink returns a sink streaming events to w as wire-versioned
 // JSON lines.
 func NewJSONLSink(w io.Writer) *JSONLSink { return wire.NewJSONLSink(w) }
-
-// NewTally returns a counter-folding sink for metrics export.
-func NewTally() *Tally { return obs.NewTally() }
 
 // MultiSink composes event sinks; nils are skipped.
 func MultiSink(sinks ...Sink) Sink { return obs.MultiSink(sinks...) }

@@ -47,7 +47,7 @@ func TestConvertParallelCorpus(t *testing.T) {
 	inst := telemetry.NewInstruments(reg)
 	tb := NewTraceBuilder(DeriveTraceID("parallel-corpus"), "convert")
 	report, err := Convert(context.Background(), schema.CompanyV1(), nil, figurePlan(), progs,
-		WithVerifyDB(db), WithMetrics(), WithTraceSink(tb), WithEventSink(inst.StageSink()))
+		WithVerifyDB(db), WithMetrics(), WithTraceSink(tb), WithEventSink(inst))
 	if err != nil {
 		t.Fatal(err)
 	}

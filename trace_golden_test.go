@@ -28,7 +28,7 @@ func captureTraceAndMetrics(t *testing.T, parallelism int) ([]byte, []byte) {
 	inst := telemetry.NewInstruments(reg)
 	report, err := Convert(t.Context(), schema.CompanyV1(), schema.CompanyV2(), nil,
 		eventPrograms(t), WithParallelism(parallelism), WithTraceSink(tb),
-		WithEventSink(inst.StageSink()), WithVerifyDB(eventDB(t)))
+		WithEventSink(inst), WithVerifyDB(eventDB(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
