@@ -431,18 +431,19 @@ func BenchmarkHierReorder(b *testing.B) {
 		}
 	}
 	tr := xform.HierReorder{Promote: "EMP"}
-	dstSchema, err := tr.ApplySchema(db.Schema())
-	if err != nil {
-		b.Fatal(err)
+	plan := &xform.HierPlan{Steps: []xform.HierReorder{tr}}
+	migrate := func() (*hierstore.DB, error) {
+		dst, _, _, err := plan.Migrate(context.Background(), db, xform.MigrateOptions{Parallelism: 1})
+		return dst, err
 	}
 	b.Run("Migrate", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := tr.MigrateData(db, dstSchema); err != nil {
+			if _, err := migrate(); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	dst, _, err := tr.MigrateData(db, dstSchema)
+	dst, err := migrate()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -491,9 +492,22 @@ func BenchmarkIndexedFind(b *testing.B) {
 	db.SetIndexing(true)
 }
 
+// migrateStepwise is the EXP-C6/C7 baseline: one single-step
+// Plan.Migrate pass per step, at one shard worker.
+func migrateStepwise(p *xform.Plan, db *netstore.DB) (*netstore.DB, error) {
+	for _, t := range p.Steps {
+		var err error
+		step := &xform.Plan{Steps: []xform.Transformation{t}}
+		if db, _, err = step.Migrate(context.Background(), db, xform.MigrateOptions{Parallelism: 1}); err != nil {
+			return nil, err
+		}
+	}
+	return db, nil
+}
+
 // BenchmarkFusedMigration backs EXP-C6: a four-step fusible plan over a
 // 1000-employee database as one fused pass of the migration engine at
-// one shard worker vs four stepwise serial passes.
+// one shard worker vs four single-step passes.
 func BenchmarkFusedMigration(b *testing.B) {
 	db := corpus.Database(corpus.Profile{Seed: 7, Divisions: 8, DeptsPerDiv: 5, EmpsPerDept: 25})
 	plan := &xform.Plan{Steps: []xform.Transformation{
@@ -514,7 +528,7 @@ func BenchmarkFusedMigration(b *testing.B) {
 	b.Run("Stepwise", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := plan.MigrateDataStepwise(db); err != nil {
+			if _, err := migrateStepwise(plan, db); err != nil {
 				b.Fatal(err)
 			}
 		}

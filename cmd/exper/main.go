@@ -808,6 +808,19 @@ func fourStepPlan() *xform.Plan {
 	}}
 }
 
+// migrateStepwise is the EXP-C6/C7 "stepwise" baseline: one single-step
+// Plan.Migrate pass per step, at one shard worker.
+func migrateStepwise(p *xform.Plan, db *netstore.DB) (*netstore.DB, error) {
+	for _, t := range p.Steps {
+		var err error
+		step := &xform.Plan{Steps: []xform.Transformation{t}}
+		if db, _, err = step.Migrate(context.Background(), db, xform.MigrateOptions{Parallelism: 1}); err != nil {
+			return nil, err
+		}
+	}
+	return db, nil
+}
+
 func expC6() {
 	banner("EXP-C6", "data-plane fast path: keyed indexes, fused migration, parallel verification")
 
@@ -834,8 +847,8 @@ func expC6() {
 	fmt.Printf("    indexed %.2fµs/call vs scan %.2fµs/call — x%.1f; counters: %d probes, %d scans\n",
 		us(indexed, reps), us(scanned, reps), float64(scanned)/float64(indexed), probes, scans)
 
-	// (b) Four fusible steps as one pass (one shard worker) vs four
-	// serial passes.
+	// (b) Four fusible steps as one pass vs four single-step passes, all
+	// at one shard worker.
 	mdb := corpus.Database(corpus.Profile{Seed: 7, Divisions: 8, DeptsPerDiv: 5, EmpsPerDept: 25})
 	plan4 := fourStepPlan()
 	const mreps = 20
@@ -851,7 +864,7 @@ func expC6() {
 	fused := time.Since(start)
 	start = time.Now()
 	for i := 0; i < mreps; i++ {
-		if _, err := plan4.MigrateDataStepwise(mdb); err != nil {
+		if _, err := migrateStepwise(plan4, mdb); err != nil {
 			fmt.Println("error:", err)
 			return
 		}
@@ -902,7 +915,7 @@ func expC6() {
 }
 
 func expC7() {
-	banner("EXP-C7", "sharded parallel migration: bulk-load rebuild vs the serial stepwise passes")
+	banner("EXP-C7", "sharded parallel migration: one fused pass vs one single-step pass per step")
 	fmt.Printf("\nenvironment: GOMAXPROCS=%d — shard speedup needs cores; the\n", runtime.GOMAXPROCS(0))
 	fmt.Println("allocation and bulk-load gains below hold on any machine")
 
@@ -913,20 +926,20 @@ func expC7() {
 	const mreps = 20
 	start := time.Now()
 	for i := 0; i < mreps; i++ {
-		if _, err := plan4.MigrateDataStepwise(mdb); err != nil {
+		if _, err := migrateStepwise(plan4, mdb); err != nil {
 			fmt.Println("error:", err)
 			return
 		}
 	}
-	serial := time.Since(start)
-	serialOut, err := plan4.MigrateDataStepwise(mdb)
+	stepwise := time.Since(start)
+	stepwiseOut, err := migrateStepwise(plan4, mdb)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
 	fmt.Printf("\n(a) 4-step migration of %d records, %d runs per configuration:\n",
 		mdb.Count("DIV")+mdb.Count("EMP"), mreps)
-	fmt.Printf("    serial stepwise             %8.0fµs/run\n", us(serial, mreps))
+	fmt.Printf("    stepwise (1 shard worker)   %8.0fµs/run\n", us(stepwise, mreps))
 	for _, par := range []int{1, 2, 8} {
 		start = time.Now()
 		var stats xform.MigrateStats
@@ -942,9 +955,9 @@ func expC7() {
 			fmt.Println("error:", err)
 			return
 		}
-		identical := out.Len() == serialOut.Len() && out.IndexDump() == serialOut.IndexDump()
+		identical := out.Len() == stepwiseOut.Len() && out.IndexDump() == stepwiseOut.IndexDump()
 		fmt.Printf("    parallel (%d shard workers) %8.0fµs/run — x%.1f; %d shards, %d bulk-loaded records, identical: %v\n",
-			par, us(elapsed, mreps), float64(serial)/float64(elapsed),
+			par, us(elapsed, mreps), float64(stepwise)/float64(elapsed),
 			stats.Shards, stats.BulkRecords, identical)
 	}
 
@@ -1061,7 +1074,7 @@ END PROGRAM.
 		}),
 		bench("migration_stepwise", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := plan4.MigrateDataStepwise(migDB); err != nil {
+				if _, err := migrateStepwise(plan4, migDB); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -1080,8 +1093,8 @@ END PROGRAM.
 	return os.WriteFile(out, append(b, '\n'), 0o644)
 }
 
-// benchJSONParallel writes the EXP-C7 set: the serial stepwise migration
-// against the sharded bulk-load rebuild at 1, 2 and 8 shard workers,
+// benchJSONParallel writes the EXP-C7 set: the stepwise migration
+// baseline against the sharded bulk-load rebuild at 1, 2 and 8 shard workers,
 // over the same 1000-employee database the EXP-C6 migration rows use.
 func benchJSONParallel(out string, bench func(string, func(*testing.B)) wire.BenchRow) error {
 	migDB := corpus.Database(corpus.Profile{Seed: 7, Divisions: 8, DeptsPerDiv: 5, EmpsPerDept: 25})
@@ -1091,7 +1104,7 @@ func benchJSONParallel(out string, bench func(string, func(*testing.B)) wire.Ben
 	rows := []wire.BenchRow{
 		bench("migration_stepwise", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := plan4.MigrateDataStepwise(migDB); err != nil {
+				if _, err := migrateStepwise(plan4, migDB); err != nil {
 					b.Fatal(err)
 				}
 			}

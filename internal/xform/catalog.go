@@ -3,7 +3,6 @@ package xform
 import (
 	"fmt"
 
-	"progconv/internal/netstore"
 	"progconv/internal/schema"
 	"progconv/internal/value"
 )
@@ -18,9 +17,9 @@ type rebuildFns struct {
 	// ("" = drop the membership).
 	mapSet func(srcSet string) string
 	// route re-homes one set's memberships through a synthesized or
-	// dissolved intermediate. Only the structural steps set it, and only
-	// the sharded rebuild reads it: a routed step never fuses, and the
-	// structural steps' serial MigrateData bodies do their own routing.
+	// dissolved intermediate. Only the structural steps set it, and a
+	// routed step never fuses: rebuildParallel interprets it in its own
+	// pass.
 	route *setRoute
 }
 
@@ -38,79 +37,6 @@ type setRoute struct {
 	field  string // the group field
 	inter  string // introduce: the intermediate record type; "" on collapse
 	upper  string
-}
-
-// rebuild copies src into a fresh database under dst, applying the
-// mapping functions. Record types are processed owners-first so that
-// destination memberships can be wired as occurrences appear.
-func rebuild(src *netstore.DB, dst *schema.Network, f rebuildFns) (*netstore.DB, error) {
-	out := netstore.NewDB(dst)
-	idMap := map[netstore.RecordID]netstore.RecordID{}
-	srcSchema := src.Schema()
-	for _, srcType := range topoRecordOrder(srcSchema) {
-		dstType := srcType
-		if f.mapType != nil {
-			dstType = f.mapType(srcType)
-		}
-		if dstType == "" {
-			continue
-		}
-		memberSets := srcSchema.SetsWithMember(srcType)
-		var visitErr error
-		// EachOf iterates src without copying; only out is mutated here,
-		// so the no-mutation-during-visit contract holds.
-		src.EachOf(srcType, func(id netstore.RecordID) bool {
-			data := src.StoredData(id)
-			if f.mapData != nil {
-				data = f.mapData(srcType, data)
-			}
-			memberships := map[string]netstore.RecordID{}
-			for _, set := range memberSets {
-				owner, connected := src.OwnerOf(set.Name, id)
-				if !connected {
-					continue
-				}
-				dstSet := set.Name
-				if f.mapSet != nil {
-					dstSet = f.mapSet(set.Name)
-				}
-				if dstSet == "" {
-					continue
-				}
-				if set.IsSystem() {
-					memberships[dstSet] = netstore.OwnerSystem
-				} else {
-					dstOwner, ok := idMap[owner]
-					if !ok {
-						visitErr = fmt.Errorf("xform: %s occurrence's owner in %s not yet migrated", srcType, set.Name)
-						return false
-					}
-					memberships[dstSet] = dstOwner
-				}
-			}
-			nid, err := out.StoreWith(dstType, data, memberships)
-			if err != nil {
-				visitErr = err
-				return false
-			}
-			idMap[id] = nid
-			return true
-		})
-		if visitErr != nil {
-			return nil, visitErr
-		}
-	}
-	return out, nil
-}
-
-// rebuildStep is the serial reference pass of a routeless step: the
-// generic rebuild with the step's own fns.
-func rebuildStep(t Transformation, src *netstore.DB, dst *schema.Network) (*netstore.DB, error) {
-	f, err := t.dataFns(src.Schema())
-	if err != nil {
-		return nil, err
-	}
-	return rebuild(src, dst, f)
 }
 
 // ---- RenameRecord ----
@@ -156,11 +82,6 @@ func (t RenameRecord) dataFns(*schema.Network) (rebuildFns, error) {
 		}
 		return s
 	}}, nil
-}
-
-// MigrateData implements Transformation.
-func (t RenameRecord) MigrateData(src *netstore.DB, dst *schema.Network) (*netstore.DB, error) {
-	return rebuildStep(t, src, dst)
 }
 
 // Rewriter implements Transformation.
@@ -235,11 +156,6 @@ func (t RenameField) dataFns(*schema.Network) (rebuildFns, error) {
 	}}, nil
 }
 
-// MigrateData implements Transformation.
-func (t RenameField) MigrateData(src *netstore.DB, dst *schema.Network) (*netstore.DB, error) {
-	return rebuildStep(t, src, dst)
-}
-
 // Rewriter implements Transformation.
 func (t RenameField) Rewriter(src *schema.Network) (*Rewriter, error) {
 	r := NewRewriter()
@@ -289,11 +205,6 @@ func (t RenameSet) dataFns(*schema.Network) (rebuildFns, error) {
 		}
 		return s
 	}}, nil
-}
-
-// MigrateData implements Transformation.
-func (t RenameSet) MigrateData(src *netstore.DB, dst *schema.Network) (*netstore.DB, error) {
-	return rebuildStep(t, src, dst)
 }
 
 // Rewriter implements Transformation.
@@ -349,11 +260,6 @@ func (t AddField) dataFns(*schema.Network) (rebuildFns, error) {
 		}
 		return data
 	}}, nil
-}
-
-// MigrateData implements Transformation.
-func (t AddField) MigrateData(src *netstore.DB, dst *schema.Network) (*netstore.DB, error) {
-	return rebuildStep(t, src, dst)
 }
 
 // Rewriter implements Transformation.
@@ -428,11 +334,6 @@ func (t DropField) dataFns(*schema.Network) (rebuildFns, error) {
 	}}, nil
 }
 
-// MigrateData implements Transformation.
-func (t DropField) MigrateData(src *netstore.DB, dst *schema.Network) (*netstore.DB, error) {
-	return rebuildStep(t, src, dst)
-}
-
 // Rewriter implements Transformation.
 func (t DropField) Rewriter(src *schema.Network) (*Rewriter, error) {
 	r := NewRewriter()
@@ -475,11 +376,6 @@ func (t ChangeSetKeys) ApplySchema(src *schema.Network) (*schema.Network, error)
 // StoreWith under the destination schema's keys, so the mapping is the
 // identity.
 func (t ChangeSetKeys) dataFns(*schema.Network) (rebuildFns, error) { return rebuildFns{}, nil }
-
-// MigrateData implements Transformation.
-func (t ChangeSetKeys) MigrateData(src *netstore.DB, dst *schema.Network) (*netstore.DB, error) {
-	return rebuild(src, dst, rebuildFns{})
-}
 
 // Rewriter implements Transformation.
 func (t ChangeSetKeys) Rewriter(src *schema.Network) (*Rewriter, error) {
@@ -527,11 +423,6 @@ func (t ChangeRetention) ApplySchema(src *schema.Network) (*schema.Network, erro
 // dataFns implements Transformation: retention is schema-only, the data
 // mapping is the identity.
 func (t ChangeRetention) dataFns(*schema.Network) (rebuildFns, error) { return rebuildFns{}, nil }
-
-// MigrateData implements Transformation.
-func (t ChangeRetention) MigrateData(src *netstore.DB, dst *schema.Network) (*netstore.DB, error) {
-	return rebuild(src, dst, rebuildFns{})
-}
 
 // Rewriter implements Transformation.
 func (t ChangeRetention) Rewriter(src *schema.Network) (*Rewriter, error) {

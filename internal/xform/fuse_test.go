@@ -60,7 +60,7 @@ func TestFusedMigrationByteIdenticalToStepwise(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fused: %v", err)
 	}
-	stepwise, err := p.MigrateDataStepwise(src)
+	stepwise, err := migrateStepwise(p, src)
 	if err != nil {
 		t.Fatalf("stepwise: %v", err)
 	}
@@ -89,7 +89,7 @@ func TestFusedMigrationBailsOutAroundIntermediates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fused: %v", err)
 	}
-	stepwise, err := p.MigrateDataStepwise(src)
+	stepwise, err := migrateStepwise(p, src)
 	if err != nil {
 		t.Fatalf("stepwise: %v", err)
 	}
@@ -135,7 +135,7 @@ func TestFusedMigrationRandomizedContent(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d fused: %v", seed, err)
 		}
-		stepwise, err := p.MigrateDataStepwise(db)
+		stepwise, err := migrateStepwise(p, db)
 		if err != nil {
 			t.Fatalf("seed %d stepwise: %v", seed, err)
 		}

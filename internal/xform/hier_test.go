@@ -1,6 +1,7 @@
 package xform
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -30,6 +31,16 @@ func personnelHierDB(t *testing.T) *hierstore.DB {
 			hierstore.Q("DEPT", "D#", hierstore.EQ, value.Str(e.dept)), hierstore.U("EMP"))
 	}
 	return db
+}
+
+// migrateHier runs one reorder through the migration engine.
+func migrateHier(t *testing.T, tr HierReorder, src *hierstore.DB) (*hierstore.DB, []string) {
+	t.Helper()
+	dst, warnings, _, err := (&HierPlan{Steps: []HierReorder{tr}}).Migrate(context.Background(), src, MigrateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dst, warnings
 }
 
 func TestHierReorderSchema(t *testing.T) {
@@ -72,14 +83,7 @@ func TestHierReorderSchemaErrors(t *testing.T) {
 func TestHierReorderMigration(t *testing.T) {
 	src := personnelHierDB(t)
 	tr := HierReorder{Promote: "EMP"}
-	dstSchema, err := tr.ApplySchema(src.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst, warnings, err := tr.MigrateData(src, dstSchema)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dst, warnings := migrateHier(t, tr, src)
 	// D9 had no employees: unreachable, warned about.
 	if len(warnings) != 1 || !strings.Contains(warnings[0], "D9") {
 		t.Errorf("warnings = %v", warnings)
@@ -129,11 +133,7 @@ func TestHierReorderSSARewrite(t *testing.T) {
 func TestHierReorderEndToEnd(t *testing.T) {
 	src := personnelHierDB(t)
 	tr := HierReorder{Promote: "EMP"}
-	dstSchema, _ := tr.ApplySchema(src.Schema())
-	dst, _, err := tr.MigrateData(src, dstSchema)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dst, _ := migrateHier(t, tr, src)
 
 	oldSess := hierstore.NewSession(src)
 	newSess := hierstore.NewSession(dst)
@@ -195,12 +195,7 @@ func TestHierReorderSharedChildMerges(t *testing.T) {
 	s.ISRT(shared, hierstore.Q("DEPT", "D#", hierstore.EQ, value.Str("D1")), hierstore.U("EMP"))
 	s.ISRT(shared, hierstore.Q("DEPT", "D#", hierstore.EQ, value.Str("D2")), hierstore.U("EMP"))
 
-	tr := HierReorder{Promote: "EMP"}
-	dstSchema, _ := tr.ApplySchema(db.Schema())
-	dst, warnings, err := tr.MigrateData(db, dstSchema)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dst, warnings := migrateHier(t, HierReorder{Promote: "EMP"}, db)
 	if len(warnings) != 1 || !strings.Contains(warnings[0], "merge") {
 		t.Errorf("warnings = %v", warnings)
 	}

@@ -3,7 +3,6 @@ package xform
 import (
 	"fmt"
 
-	"progconv/internal/netstore"
 	"progconv/internal/schema"
 	"progconv/internal/value"
 )
@@ -35,39 +34,38 @@ func (t IntroduceIntermediate) Describe() string {
 // recoverable from its intermediate owner, so the inverse mapping exists.
 func (t IntroduceIntermediate) Invertible() bool { return true }
 
-func (t IntroduceIntermediate) check(src *schema.Network) (*schema.SetType, *schema.RecordType, *schema.Field, error) {
+func (t IntroduceIntermediate) check(src *schema.Network) (*schema.SetType, *schema.Field, error) {
 	set := src.Set(t.Set)
 	if set == nil {
-		return nil, nil, nil, fmt.Errorf("no set type %s", t.Set)
+		return nil, nil, fmt.Errorf("no set type %s", t.Set)
 	}
 	if set.IsSystem() {
-		return nil, nil, nil, fmt.Errorf("cannot split SYSTEM set %s", t.Set)
+		return nil, nil, fmt.Errorf("cannot split SYSTEM set %s", t.Set)
 	}
-	member := src.Record(set.Member)
-	gf := member.Field(t.GroupField)
+	gf := src.Record(set.Member).Field(t.GroupField)
 	if gf == nil {
-		return nil, nil, nil, fmt.Errorf("member %s has no field %s", set.Member, t.GroupField)
+		return nil, nil, fmt.Errorf("member %s has no field %s", set.Member, t.GroupField)
 	}
 	if gf.Virtual != nil {
-		return nil, nil, nil, fmt.Errorf("group field %s.%s is virtual", set.Member, t.GroupField)
+		return nil, nil, fmt.Errorf("group field %s.%s is virtual", set.Member, t.GroupField)
 	}
 	if src.Record(t.Inter) != nil {
-		return nil, nil, nil, fmt.Errorf("record type %s already exists", t.Inter)
+		return nil, nil, fmt.Errorf("record type %s already exists", t.Inter)
 	}
 	if src.Set(t.Upper) != nil || src.Set(t.Lower) != nil {
-		return nil, nil, nil, fmt.Errorf("set %s or %s already exists", t.Upper, t.Lower)
+		return nil, nil, fmt.Errorf("set %s or %s already exists", t.Upper, t.Lower)
 	}
 	for _, k := range set.Keys {
 		if k == t.GroupField {
-			return nil, nil, nil, fmt.Errorf("group field %s is a key of set %s", t.GroupField, t.Set)
+			return nil, nil, fmt.Errorf("group field %s is a key of set %s", t.GroupField, t.Set)
 		}
 	}
-	return set, member, gf, nil
+	return set, gf, nil
 }
 
 // ApplySchema implements Transformation.
 func (t IntroduceIntermediate) ApplySchema(src *schema.Network) (*schema.Network, error) {
-	set, member, gf, err := t.check(src)
+	set, gf, err := t.check(src)
 	if err != nil {
 		return nil, err
 	}
@@ -125,92 +123,14 @@ func (t IntroduceIntermediate) ApplySchema(src *schema.Network) (*schema.Network
 		sets = append(sets, s)
 	}
 	out.Sets = sets
-	_ = member
 	return out, out.Validate()
-}
-
-// MigrateData implements Transformation: members are regrouped beneath
-// intermediates created per (owner, group value).
-func (t IntroduceIntermediate) MigrateData(src *netstore.DB, dst *schema.Network) (*netstore.DB, error) {
-	set, _, _, err := t.check(src.Schema())
-	if err != nil {
-		return nil, err
-	}
-	memberType := set.Member
-
-	out := netstore.NewDB(dst)
-	idMap := map[netstore.RecordID]netstore.RecordID{}
-	// inters maps (dst owner ID, group key) to the intermediate created.
-	type interKey struct {
-		owner netstore.RecordID
-		group string
-	}
-	inters := map[interKey]netstore.RecordID{}
-
-	srcSchema := src.Schema()
-	for _, srcType := range topoRecordOrder(srcSchema) {
-		memberSets := srcSchema.SetsWithMember(srcType)
-		var visitErr error
-		src.EachOf(srcType, func(id netstore.RecordID) bool {
-			data := src.StoredData(id)
-			memberships := map[string]netstore.RecordID{}
-			for _, s := range memberSets {
-				owner, connected := src.OwnerOf(s.Name, id)
-				if !connected {
-					continue
-				}
-				if s.IsSystem() {
-					memberships[s.Name] = netstore.OwnerSystem
-					continue
-				}
-				dstOwner, ok := idMap[owner]
-				if !ok {
-					visitErr = fmt.Errorf("xform: owner of %s in %s not yet migrated", srcType, s.Name)
-					return false
-				}
-				if srcType == memberType && s.Name == t.Set {
-					// Route through an intermediate for this group value.
-					gv := data.MustGet(t.GroupField)
-					k := interKey{dstOwner, gv.Key()}
-					interID, have := inters[k]
-					if !have {
-						rec := value.NewRecord()
-						rec.Set(t.GroupField, gv)
-						interID, visitErr = out.StoreWith(t.Inter, rec,
-							map[string]netstore.RecordID{t.Upper: dstOwner})
-						if visitErr != nil {
-							return false
-						}
-						inters[k] = interID
-					}
-					memberships[t.Lower] = interID
-					continue
-				}
-				memberships[s.Name] = dstOwner
-			}
-			if srcType == memberType {
-				data.Delete(t.GroupField) // now virtual through the chain
-			}
-			nid, err := out.StoreWith(srcType, data, memberships)
-			if err != nil {
-				visitErr = err
-				return false
-			}
-			idMap[id] = nid
-			return true
-		})
-		if visitErr != nil {
-			return nil, visitErr
-		}
-	}
-	return out, nil
 }
 
 // dataFns implements Transformation: members' links in the split set
 // move under intermediates, and the lifted field drops out of the
 // stored record because it is virtual in the destination.
 func (t IntroduceIntermediate) dataFns(src *schema.Network) (rebuildFns, error) {
-	set, _, _, err := t.check(src)
+	set, _, err := t.check(src)
 	if err != nil {
 		return rebuildFns{}, err
 	}
@@ -227,7 +147,7 @@ func (t IntroduceIntermediate) dataFns(src *schema.Network) (rebuildFns, error) 
 
 // Rewriter implements Transformation.
 func (t IntroduceIntermediate) Rewriter(src *schema.Network) (*Rewriter, error) {
-	set, _, _, err := t.check(src)
+	set, _, err := t.check(src)
 	if err != nil {
 		return nil, err
 	}
@@ -357,76 +277,6 @@ func (t CollapseIntermediate) ApplySchema(src *schema.Network) (*schema.Network,
 	return out, out.Validate()
 }
 
-// MigrateData implements Transformation.
-func (t CollapseIntermediate) MigrateData(src *netstore.DB, dst *schema.Network) (*netstore.DB, error) {
-	upper, lower, err := t.check(src.Schema())
-	if err != nil {
-		return nil, err
-	}
-	interName := upper.Member
-	memberType := lower.Member
-
-	out := netstore.NewDB(dst)
-	idMap := map[netstore.RecordID]netstore.RecordID{}
-	srcSchema := src.Schema()
-	for _, srcType := range topoRecordOrder(srcSchema) {
-		if srcType == interName {
-			continue // intermediates vanish
-		}
-		memberSets := srcSchema.SetsWithMember(srcType)
-		var visitErr error
-		src.EachOf(srcType, func(id netstore.RecordID) bool {
-			data := src.StoredData(id)
-			memberships := map[string]netstore.RecordID{}
-			for _, s := range memberSets {
-				owner, connected := src.OwnerOf(s.Name, id)
-				if !connected {
-					continue
-				}
-				if s.IsSystem() {
-					memberships[s.Name] = netstore.OwnerSystem
-					continue
-				}
-				if srcType == memberType && s.Name == t.Lower {
-					// Reattach to the intermediate's owner, pulling the
-					// group field back down.
-					gv := src.StoredData(owner).MustGet(t.GroupField)
-					data.Set(t.GroupField, gv)
-					grand, ok := src.OwnerOf(t.Upper, owner)
-					if !ok {
-						visitErr = fmt.Errorf("xform: intermediate %d has no %s owner", owner, t.Upper)
-						return false
-					}
-					dstOwner, ok := idMap[grand]
-					if !ok {
-						visitErr = fmt.Errorf("xform: owner of intermediate not yet migrated")
-						return false
-					}
-					memberships[t.NewSet] = dstOwner
-					continue
-				}
-				dstOwner, ok := idMap[owner]
-				if !ok {
-					visitErr = fmt.Errorf("xform: owner of %s in %s not yet migrated", srcType, s.Name)
-					return false
-				}
-				memberships[s.Name] = dstOwner
-			}
-			nid, err := out.StoreWith(srcType, data, memberships)
-			if err != nil {
-				visitErr = err
-				return false
-			}
-			idMap[id] = nid
-			return true
-		})
-		if visitErr != nil {
-			return nil, visitErr
-		}
-	}
-	return out, nil
-}
-
 // dataFns implements Transformation: the intermediates vanish and
 // members' links in the lower set move to the restored set under the
 // intermediate's owner.
@@ -455,7 +305,7 @@ func (t CollapseIntermediate) dataFns(src *schema.Network) (rebuildFns, error) {
 
 // Rewriter implements Transformation.
 func (t CollapseIntermediate) Rewriter(src *schema.Network) (*Rewriter, error) {
-	upper, lower, err := t.check(src)
+	upper, _, err := t.check(src)
 	if err != nil {
 		return nil, err
 	}
@@ -469,6 +319,5 @@ func (t CollapseIntermediate) Rewriter(src *schema.Network) (*Rewriter, error) {
 		Lower:  t.Lower,
 		NewSet: t.NewSet,
 	})
-	_ = lower
 	return r, nil
 }

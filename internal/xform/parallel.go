@@ -56,17 +56,40 @@ func shardCount(n, parallelism int) int {
 	return shards
 }
 
+// fanOut runs prepare over [0, n) split into shardCount(n, parallelism)
+// contiguous ranges, one worker per range, and returns the shard count.
+// A single shard runs on the calling goroutine.
+func fanOut(n, parallelism int, prepare func(lo, hi int)) int {
+	shards := shardCount(n, parallelism)
+	if shards == 1 {
+		prepare(0, n)
+		return 1
+	}
+	var wg sync.WaitGroup
+	for s := 0; s < shards; s++ {
+		lo, hi := s*n/shards, (s+1)*n/shards
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			prepare(lo, hi)
+		}()
+	}
+	wg.Wait()
+	return shards
+}
+
 // Migrate is the data translator: it restructures src through every
 // step of the plan. Maximal runs of two or more routeless steps compose
 // into a single pass; every other step runs its own pass. Every pass
 // fans out over opts.Parallelism shard workers and merges through the
-// netstore bulk loader, and the result is byte-identical — record IDs,
-// set orderings, index contents, error text and order — to
-// MigrateDataStepwise for every plan whose stepwise migration succeeds
-// (a plan failing an intermediate-schema validity check mid-run may
-// fail differently fused). Cancelling ctx aborts mid-pass; the cause
-// surfaces unwrapped inside the usual per-step error wrapping, so
-// errors.Is(err, context.DeadlineExceeded) sees through it.
+// netstore bulk loader. The result — record IDs, set orderings, index
+// contents, error text and order — is byte-identical at every
+// parallelism, and to migrating one step per pass for every plan whose
+// stepwise migration succeeds (a plan failing an intermediate-schema
+// validity check mid-run may fail differently fused). Cancelling ctx
+// aborts mid-pass; the cause surfaces unwrapped inside the usual
+// per-step error wrapping, so errors.Is(err, context.DeadlineExceeded)
+// sees through it.
 func (p *Plan) Migrate(ctx context.Context, src *netstore.DB, opts MigrateOptions) (*netstore.DB, MigrateStats, error) {
 	var stats MigrateStats
 	cur := src
@@ -147,8 +170,8 @@ type interKey struct {
 
 // intermediates stores an introduce pass's synthesized occurrences, one
 // per (destination owner, group value), the first time the splice meets
-// the pair — the point where the serial pass stores it, so record IDs
-// and set orders come out the same.
+// the pair while wiring a member's memberships, so each intermediate's
+// record ID comes just before its first member's.
 type intermediates struct {
 	typ   *schema.RecordType
 	upper *schema.SetType
@@ -176,8 +199,8 @@ func (im *intermediates) place(bl *netstore.BulkLoader, owner netstore.RecordID,
 // stagedRec is one shard-prepared record awaiting its splice: the
 // destination data record (built off-thread, kind-checked), the
 // memberships to wire, and any error the preparation raised — held
-// back so errors surface in submission order, exactly as the serial
-// rebuild raises them.
+// back so errors surface in source insertion order, as a
+// record-at-a-time pass would raise them.
 type stagedRec struct {
 	data    *value.Record
 	members []stagedMember
@@ -202,17 +225,18 @@ type spliceSet struct {
 // are NOT pooled — they become the new database's occurrence data.
 var stagingRecPool = sync.Pool{New: func() any { return value.NewRecord() }}
 
-// rebuildParallel is rebuild with the per-record transform fanned out
-// over shard workers. Each record type pass partitions the source
-// occurrences into contiguous ID-range shards, transforms each shard
-// into private staging, then splices the staged records into the
-// destination sequentially in source insertion order — so IDs, set
-// orderings, index contents, and error precedence match the serial
-// rebuild exactly. The merge phase goes through the bulk loader, which
-// defers member ordering and index maintenance to one batched
-// finalization per pass. A structural step's f.route re-homes one set:
-// workers lift out or push back the group field and read the owners,
-// and the splice synthesizes intermediates as it goes.
+// rebuildParallel is the migration engine's one pass: it copies src into
+// a fresh database under dst through f, record types owners-first, with
+// the per-record transform fanned out over shard workers. Each record
+// type partitions the source occurrences into contiguous ID-range
+// shards, transforms each shard into private staging, then splices the
+// staged records into the destination sequentially in source insertion
+// order — so IDs, set orderings, index contents, and error precedence
+// do not depend on the shard count. The merge phase goes through the
+// bulk loader, which defers member ordering and index maintenance to
+// one batched finalization per pass. A structural step's f.route
+// re-homes one set: workers lift out or push back the group field and
+// read the owners, and the splice synthesizes intermediates as it goes.
 func rebuildParallel(ctx context.Context, src *netstore.DB, dst *schema.Network, f rebuildFns, parallelism int, stats *MigrateStats) (*netstore.DB, error) {
 	out := netstore.NewDB(dst)
 	bl := out.NewBulkLoader(src.Len())
@@ -248,8 +272,8 @@ func rebuildParallel(ctx context.Context, src *netstore.DB, dst *schema.Network,
 		ids := src.AllOf(srcType)
 		n := len(ids)
 		if n == 0 {
-			// The serial rebuild never reaches StoreWith for an empty
-			// extent, so even an unmapped destination type is not an error.
+			// An empty extent stores nothing, so even an unmapped
+			// destination type is not an error.
 			continue
 		}
 		typ := dst.Record(dstType)
@@ -362,25 +386,10 @@ func rebuildParallel(ctx context.Context, src *netstore.DB, dst *schema.Network,
 			}
 		}
 
-		shards := shardCount(n, parallelism)
-		stats.Shards += shards
-		if shards == 1 {
-			prepare(0, n)
-		} else {
-			var wg sync.WaitGroup
-			for s := 0; s < shards; s++ {
-				lo, hi := s*n/shards, (s+1)*n/shards
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					prepare(lo, hi)
-				}()
-			}
-			wg.Wait()
-		}
+		stats.Shards += fanOut(n, parallelism, prepare)
 
 		// Splice sequentially in source insertion order. Error precedence
-		// per record matches the serial passes: unmigrated owners and
+		// per record is a record-at-a-time pass's: unmigrated owners and
 		// intermediate placement (in membership order, as they are met
 		// while collecting memberships) before the staged kind error
 		// before StoreWith's membership validation.
@@ -442,7 +451,8 @@ func rebuildParallel(ctx context.Context, src *netstore.DB, dst *schema.Network,
 }
 
 // ownerPending is the error for a record whose owner in e has no
-// destination occurrence yet, worded as the serial pass words it.
+// destination occurrence yet. Routeless passes, the re-homed link of a
+// collapse and every other link of a structural pass word it apart.
 func ownerPending(rt *setRoute, srcType string, e *spliceSet) error {
 	switch {
 	case rt == nil:
@@ -465,11 +475,11 @@ type stagedRoot struct {
 // Migrate chains the steps' data restructurings and accumulates their
 // warnings (dropped unreachable occurrences, merged roots). Every step
 // runs its own pass: a reorder changes parentage, which is a full
-// restructuring. The databases, warnings (text and order) and errors
-// are identical to HierReorder.MigrateData's, with each step's per-root
-// reads fanned out over shard workers ahead of the sequential insert
-// splice. An identity plan returns a clone, so the migrated database
-// never aliases the caller's source.
+// restructuring. Each step's per-root reads fan out over shard workers
+// ahead of the sequential insert splice, so the databases, warnings
+// (text and order) and errors are the same at every shard count. An
+// identity plan returns a clone, so the migrated database never aliases
+// the caller's source.
 func (p *HierPlan) Migrate(ctx context.Context, src *hierstore.DB, opts MigrateOptions) (*hierstore.DB, []string, MigrateStats, error) {
 	var stats MigrateStats
 	cur := src
@@ -495,12 +505,15 @@ func (p *HierPlan) Migrate(ctx context.Context, src *hierstore.DB, opts MigrateO
 	return cur, warnings, stats, nil
 }
 
-// migrateDataParallel is MigrateData with the per-root source reads
-// (parent data, promoted children, child data — all clone-returning
-// lookups on the unmutated source) sharded across workers; the ISRT
-// replay into the destination stays sequential in root order, so the
-// new database, the warning list, and any migration error come out
-// identical to the serial pass.
+// migrateDataParallel restructures the database: each promoted
+// occurrence becomes a root, with a copy of its former parent beneath
+// it. Parent occurrences with no promoted children are dropped (they
+// are unreachable in the new order) and reported as warnings. The
+// per-root source reads (parent data, promoted children, child data —
+// all clone-returning lookups on the unmutated source) are sharded
+// across workers; the ISRT replay into the destination stays sequential
+// in root order, so the new database, the warning list, and any
+// migration error are the same at every shard count.
 func (t HierReorder) migrateDataParallel(ctx context.Context, src *hierstore.DB, dst *schema.Hierarchy, parallelism int, stats *MigrateStats) (*hierstore.DB, []string, error) {
 	roots := src.Roots()
 	n := len(roots)
@@ -527,22 +540,7 @@ func (t HierReorder) migrateDataParallel(ctx context.Context, src *hierstore.DB,
 		}
 	}
 
-	shards := shardCount(n, parallelism)
-	stats.Shards += shards
-	if shards == 1 {
-		prepare(0, n)
-	} else {
-		var wg sync.WaitGroup
-		for s := 0; s < shards; s++ {
-			lo, hi := s*n/shards, (s+1)*n/shards
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				prepare(lo, hi)
-			}()
-		}
-		wg.Wait()
-	}
+	stats.Shards += fanOut(n, parallelism, prepare)
 
 	out := hierstore.NewDB(dst)
 	sess := hierstore.NewSession(out)

@@ -90,7 +90,7 @@ func TestParallelMigrateByteIdentical(t *testing.T) {
 	// stepwise oracle's, and returns the oracle's database.
 	check := func(name string, seed int64, p *Plan, src *netstore.DB) *netstore.DB {
 		t.Helper()
-		want, err := p.MigrateDataStepwise(src)
+		want, err := migrateStepwise(p, src)
 		if err != nil {
 			t.Fatalf("%s seed %d stepwise: %v", name, seed, err)
 		}
@@ -172,7 +172,8 @@ func TestParallelMigrateShardStats(t *testing.T) {
 // TestParallelMigrateErrorParity: a store-time failure (a default whose
 // kind contradicts the declared field kind) surfaces the identical
 // error string, worded for the fused pass, at every shard count; every
-// failure a structural pass can raise matches the stepwise oracle's.
+// failure a structural pass can raise is its pinned literal, from the
+// stepwise oracle and the engine alike.
 func TestParallelMigrateErrorParity(t *testing.T) {
 	src := randomCompanyDB(t, 45)
 	p := &Plan{Steps: []Transformation{
@@ -190,19 +191,20 @@ func TestParallelMigrateErrorParity(t *testing.T) {
 		}
 	}
 
-	// Structural passes: the same parity against the stepwise oracle.
+	// Structural passes: the oracle and the engine both raise the
+	// pinned literal.
 	for name, c := range structuralErrorCases(t) {
-		_, serr := c.plan.MigrateDataStepwise(c.src)
-		if serr == nil || !strings.Contains(serr.Error(), c.want) {
-			t.Fatalf("%s: stepwise oracle error %v, want one containing %q", name, serr, c.want)
+		_, serr := migrateStepwise(c.plan, c.src)
+		if serr == nil || serr.Error() != c.want {
+			t.Fatalf("%s: stepwise oracle error %v, want %q", name, serr, c.want)
 		}
 		for _, par := range []int{1, 2, 8} {
 			_, _, err := c.plan.Migrate(context.Background(), c.src, MigrateOptions{Parallelism: par})
 			if err == nil {
-				t.Fatalf("%s par %d: migration did not fail (stepwise: %v)", name, par, serr)
+				t.Fatalf("%s par %d: migration did not fail (want %q)", name, par, c.want)
 			}
-			if err.Error() != serr.Error() {
-				t.Errorf("%s par %d error diverges:\nparallel: %v\nstepwise: %v", name, par, err, serr)
+			if err.Error() != c.want {
+				t.Errorf("%s par %d error diverges:\nparallel: %v\nwant:     %s", name, par, err, c.want)
 			}
 		}
 	}
@@ -216,6 +218,9 @@ func TestParallelMigrateErrorParity(t *testing.T) {
 //   - a DEPT with no DIV-DEPT owner, which the collapse cannot re-home;
 //   - two DEPTs of one DIV holding equal EMP-NAMEs, which collide in
 //     the restored DIV-EMP.
+//
+// Each want is the full error text, pinned rather than taken from the
+// oracle: the oracle reads the same setRoute the engine does.
 func structuralErrorCases(t *testing.T) map[string]struct {
 	plan *Plan
 	src  *netstore.DB
@@ -281,11 +286,124 @@ func structuralErrorCases(t *testing.T) map[string]struct {
 		src  *netstore.DB
 		want string
 	}{
-		"introduce-owner-pending": {split, mdb, "owner of EMP in MANAGES not yet migrated"},
+		"introduce-owner-pending": {split, mdb,
+			"xform: introduce-intermediate: xform: owner of EMP in MANAGES not yet migrated"},
 		"collapse-orphan": {collapse, v2db(false, []string{"X"}, [][2]string{{"X", "A"}}),
-			"has no DIV-DEPT owner"},
+			"xform: collapse-intermediate: xform: intermediate 2 has no DIV-DEPT owner"},
 		"collapse-duplicate": {collapse, v2db(true, []string{"X", "Y"}, [][2]string{{"X", "A"}, {"Y", "B"}, {"Y", "A"}}),
-			"duplicate set key"},
+			"xform: collapse-intermediate: netstore: set DIV-EMP: duplicate set key in occurrence"},
+	}
+}
+
+// figure44Data and figure44Index are Figure 4.2's companyV1DB migrated
+// to Figure 4.4, written out by hand: three DEPTs (SALES and WELDING
+// under MACHINERY, SALES under TEXTILES), each stored just before its
+// first EMP, the EMPs' DEPT-NAME and DIV-NAME resolved through the chain.
+const figure44Data = `== DIV ==
+#1 {DIV-NAME=MACHINERY, DIV-LOC=DETROIT}
+#2 {DIV-NAME=TEXTILES, DIV-LOC=ATLANTA}
+== DEPT ==
+#3 {DEPT-NAME=SALES, DIV-NAME=MACHINERY}
+#6 {DEPT-NAME=WELDING, DIV-NAME=MACHINERY}
+#8 {DEPT-NAME=SALES, DIV-NAME=TEXTILES}
+== EMP ==
+#4 {EMP-NAME=ADAMS, DEPT-NAME=SALES, AGE=45, DIV-NAME=MACHINERY}
+#5 {EMP-NAME=BAKER, DEPT-NAME=SALES, AGE=28, DIV-NAME=MACHINERY}
+#7 {EMP-NAME=CLARK, DEPT-NAME=WELDING, AGE=33, DIV-NAME=MACHINERY}
+#9 {EMP-NAME=DAVIS, DEPT-NAME=SALES, AGE=51, DIV-NAME=TEXTILES}
+set ALL-DIV
+  0 -> [1 2]
+set DIV-DEPT
+  1 -> [3 6]
+  2 -> [8]
+set DEPT-EMP
+  3 -> [4 5]
+  6 -> [7]
+  8 -> [9]
+`
+
+const figure44Index = `index DEPT(DEPT-NAME)
+  "sSALES\x1f" -> [3 8]
+  "sWELDING\x1f" -> [6]
+index DIV(DIV-NAME)
+  "sMACHINERY\x1f" -> [1]
+  "sTEXTILES\x1f" -> [2]
+index EMP(EMP-NAME)
+  "sADAMS\x1f" -> [4]
+  "sBAKER\x1f" -> [5]
+  "sCLARK\x1f" -> [7]
+  "sDAVIS\x1f" -> [9]
+`
+
+// figure42Data and figure42Index are the Figure 4.4 database collapsed
+// back: the DEPTs vanish, DEPT-NAME is stored on the EMP again, and the
+// EMPs renumber densely in owner order.
+const figure42Data = `== DIV ==
+#1 {DIV-NAME=MACHINERY, DIV-LOC=DETROIT}
+#2 {DIV-NAME=TEXTILES, DIV-LOC=ATLANTA}
+== EMP ==
+#3 {EMP-NAME=ADAMS, DEPT-NAME=SALES, AGE=45, DIV-NAME=MACHINERY}
+#4 {EMP-NAME=BAKER, DEPT-NAME=SALES, AGE=28, DIV-NAME=MACHINERY}
+#5 {EMP-NAME=CLARK, DEPT-NAME=WELDING, AGE=33, DIV-NAME=MACHINERY}
+#6 {EMP-NAME=DAVIS, DEPT-NAME=SALES, AGE=51, DIV-NAME=TEXTILES}
+set ALL-DIV
+  0 -> [1 2]
+set DIV-EMP
+  1 -> [3 4 5]
+  2 -> [6]
+`
+
+const figure42Index = `index DIV(DIV-NAME)
+  "sMACHINERY\x1f" -> [1]
+  "sTEXTILES\x1f" -> [2]
+index EMP(EMP-NAME)
+  "sADAMS\x1f" -> [3]
+  "sBAKER\x1f" -> [4]
+  "sCLARK\x1f" -> [5]
+  "sDAVIS\x1f" -> [6]
+`
+
+// TestStructuralMigrationDumps checks the structural steps against
+// hand-written databases rather than the oracle: Figure 4.2 → 4.4 on
+// companyV1DB, and the collapse back, from the engine at every shard
+// count and from the stepwise oracle.
+func TestStructuralMigrationDumps(t *testing.T) {
+	split := &Plan{Steps: []Transformation{figure42to44()}}
+	collapse := &Plan{Steps: []Transformation{figure44to42()}}
+	cases := []struct {
+		name      string
+		plan      *Plan
+		dump, idx string
+		dst       *schema.Network
+	}{
+		{"introduce", split, figure44Data, figure44Index, schema.CompanyV2()},
+		{"collapse", collapse, figure42Data, figure42Index, schema.CompanyV1()},
+	}
+	src := companyV1DB(t)
+	for _, c := range cases {
+		wantDump := c.dst.DDL() + c.dump
+		check := func(from string, got *netstore.DB) {
+			t.Helper()
+			if d := dumpDB(got); d != wantDump {
+				t.Fatalf("%s %s: database:\n%s\nwant:\n%s", c.name, from, d, wantDump)
+			}
+			if ix := got.IndexDump(); ix != c.idx {
+				t.Fatalf("%s %s: indexes:\n%s\nwant:\n%s", c.name, from, ix, c.idx)
+			}
+		}
+		oracle, err := migrateStepwise(c.plan, src)
+		if err != nil {
+			t.Fatalf("%s oracle: %v", c.name, err)
+		}
+		check("oracle", oracle)
+		for _, par := range []int{1, 2, 8} {
+			got, _, err := c.plan.Migrate(context.Background(), src, MigrateOptions{Parallelism: par})
+			if err != nil {
+				t.Fatalf("%s par %d: %v", c.name, par, err)
+			}
+			check(fmt.Sprintf("par %d", par), got)
+		}
+		src = oracle
 	}
 }
 
@@ -314,7 +432,7 @@ func TestParallelMigrateContextCanceled(t *testing.T) {
 }
 
 // TestParallelHierMigrate: the sharded hierarchical migration matches
-// the serial HierReorder.MigrateData byte for byte — hierarchic
+// the serialHierReorder oracle byte for byte — hierarchic
 // sequence and advisory warnings — at every shard count, and the
 // identity plan still clones.
 func TestParallelHierMigrate(t *testing.T) {
@@ -325,7 +443,7 @@ func TestParallelHierMigrate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, wantWarnings, err := plan.Steps[0].MigrateData(src, dst)
+	want, wantWarnings, err := serialHierReorder(plan.Steps[0], src, dst)
 	if err != nil {
 		t.Fatal(err)
 	}

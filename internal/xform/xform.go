@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"strings"
 
-	"progconv/internal/netstore"
 	"progconv/internal/schema"
 	"progconv/internal/semantic"
 	"progconv/internal/value"
@@ -174,7 +173,8 @@ func (r *Rewriter) RewriteHops(hops []semantic.Hop) []semantic.Hop {
 }
 
 // Transformation is one catalogued schema transformation over the
-// network model.
+// network model. A step declares its data restructuring (dataFns) but
+// never runs it: Plan.Migrate is the one engine that does.
 type Transformation interface {
 	// Name is the catalogue identifier.
 	Name() string
@@ -184,14 +184,11 @@ type Transformation interface {
 	Invertible() bool
 	// ApplySchema produces the transformed schema.
 	ApplySchema(src *schema.Network) (*schema.Network, error)
-	// MigrateData restructures a database instance into dst, which must
-	// be ApplySchema's result. It is the serial reference the migration
-	// engine (Plan.Migrate) is tested against.
-	MigrateData(src *netstore.DB, dst *schema.Network) (*netstore.DB, error)
-	// dataFns returns the functions the migration engine rebuilds the
-	// step's data with, given the step's input schema. Fns without a
-	// route are a pure per-record mapping and fuse with neighbouring
-	// routeless steps into one pass.
+	// dataFns returns the step's data restructuring: the functions the
+	// migration engine (Plan.Migrate) rebuilds the step's data with,
+	// given the step's input schema. Fns without a route are a pure
+	// per-record mapping and fuse with neighbouring routeless steps into
+	// one pass.
 	dataFns(src *schema.Network) (rebuildFns, error)
 	// Rewriter returns the program-conversion rules.
 	Rewriter(src *schema.Network) (*Rewriter, error)
@@ -231,27 +228,6 @@ func (p *Plan) ApplySchema(src *schema.Network) (*schema.Network, error) {
 			return nil, fmt.Errorf("xform: %s: %w", t.Name(), err)
 		}
 		cur = next
-	}
-	return cur, nil
-}
-
-// MigrateDataStepwise chains the steps' serial data restructurings one
-// full-database pass per step. It is the byte-identity oracle Migrate
-// is tested against and the benchmark baseline.
-func (p *Plan) MigrateDataStepwise(src *netstore.DB) (*netstore.DB, error) {
-	cur := src
-	curSchema := src.Schema()
-	for _, t := range p.Steps {
-		nextSchema, err := t.ApplySchema(curSchema)
-		if err != nil {
-			return nil, fmt.Errorf("xform: %s: %w", t.Name(), err)
-		}
-		next, err := t.MigrateData(cur, nextSchema)
-		if err != nil {
-			return nil, fmt.Errorf("xform: %s: %w", t.Name(), err)
-		}
-		cur = next
-		curSchema = nextSchema
 	}
 	return cur, nil
 }

@@ -56,17 +56,18 @@ func TestIntroduceIntermediateMatchesFigure44(t *testing.T) {
 	}
 }
 
+// migrateStep runs one transformation through the migration engine.
+func migrateStep(t *testing.T, step Transformation, src *netstore.DB) *netstore.DB {
+	t.Helper()
+	out, _, err := (&Plan{Steps: []Transformation{step}}).Migrate(context.Background(), src, MigrateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestIntroduceIntermediateMigration(t *testing.T) {
-	src := companyV1DB(t)
-	tr := figure42to44()
-	dst, err := tr.ApplySchema(src.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := tr.MigrateData(src, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := migrateStep(t, figure42to44(), companyV1DB(t))
 	if out.Count("DIV") != 2 || out.Count("EMP") != 4 {
 		t.Errorf("counts: DIV=%d EMP=%d", out.Count("DIV"), out.Count("EMP"))
 	}
@@ -95,10 +96,7 @@ func TestIntroduceCollapseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2db, err := intro.MigrateData(src, v2schema)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v2db := migrateStep(t, intro, src)
 	collapse := CollapseIntermediate{
 		Upper: "DIV-DEPT", Lower: "DEPT-EMP", GroupField: "DEPT-NAME", NewSet: "DIV-EMP",
 	}
@@ -109,10 +107,7 @@ func TestIntroduceCollapseRoundTrip(t *testing.T) {
 	if backSchema.DDL() != src.Schema().DDL() {
 		t.Errorf("round trip schema:\n%s\nwant:\n%s", backSchema.DDL(), src.Schema().DDL())
 	}
-	backDB, err := collapse.MigrateData(v2db, backSchema)
-	if err != nil {
-		t.Fatal(err)
-	}
+	backDB := migrateStep(t, collapse, v2db)
 	// Same logical EMP records, same counts.
 	if backDB.Count("EMP") != 4 || backDB.Count("DIV") != 2 {
 		t.Error("round trip lost records")
@@ -230,10 +225,7 @@ func TestAddDropField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db2, err := add.MigrateData(src, s2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db2 := migrateStep(t, add, src)
 	rec := db2.Data(db2.AllOf("EMP")[0])
 	if rec.MustGet("SALARY").AsInt() != 0 {
 		t.Errorf("default missing: %v", rec)
@@ -243,14 +235,7 @@ func TestAddDropField(t *testing.T) {
 	}
 
 	drop := DropField{Record: "EMP", Field: "AGE"}
-	s3, err := drop.ApplySchema(s2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db3, err := drop.MigrateData(db2, s3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db3 := migrateStep(t, drop, db2)
 	if db3.Data(db3.AllOf("EMP")[0]).Has("AGE") {
 		t.Error("AGE survived drop")
 	}
@@ -281,14 +266,7 @@ func TestDropFieldGuards(t *testing.T) {
 func TestChangeSetKeysAndRetention(t *testing.T) {
 	src := companyV1DB(t)
 	keys := ChangeSetKeys{Set: "DIV-EMP", Keys: []string{"AGE"}}
-	s2, err := keys.ApplySchema(src.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	db2, err := keys.MigrateData(src, s2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db2 := migrateStep(t, keys, src)
 	// MACHINERY employees now ordered by AGE: BAKER(28), CLARK(33), ADAMS(45).
 	div := db2.SystemMembers("ALL-DIV")[0]
 	emps := db2.Members("DIV-EMP", div)
