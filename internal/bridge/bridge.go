@@ -76,17 +76,15 @@ func (b *Bridge) Run(p *dbprog.Program, cfg dbprog.Config) (*dbprog.Trace, error
 	if err != nil {
 		return nil, err
 	}
-	writes := Writes(p)
-	runDB := recon
-	if writes {
-		runDB = recon.Clone()
-	}
+	// The program runs on a snapshot, so its writes never reach the
+	// cached reconstruction.
+	runDB := recon.Snapshot()
 	cfg.Net = runDB
 	trace, err := dbprog.Run(p, cfg)
 	if err != nil {
 		return trace, err
 	}
-	if writes {
+	if Writes(p) {
 		newTarget, _, err := b.plan.Migrate(context.TODO(), runDB, xform.MigrateOptions{})
 		if err != nil {
 			return trace, fmt.Errorf("bridge: retranslation: %w", err)

@@ -78,8 +78,10 @@ type ModelPair interface {
 	// verifiable reports whether a database was supplied to verify
 	// automatic conversions against.
 	verifiable() bool
-	// verify runs source and converted programs against the original and
-	// migrated databases and compares traces.
+	// verify runs source and converted programs against snapshots of the
+	// original and migrated databases and compares traces. A snapshot
+	// copies its database only if the program writes, and nothing
+	// writes either database after migrate.
 	verify(ctx context.Context, src, converted *dbprog.Program) equiv.Verdict
 }
 
@@ -149,7 +151,7 @@ func (np *networkPair) migrate(ctx context.Context, s *Supervisor, r *Report) er
 }
 
 func (np *networkPair) foldStats(r *Report) {
-	// Clones used by the verify stage share their origin database's
+	// Snapshots used by the verify stage share their origin database's
 	// counters, so the deltas cover every FIND the batch issued. The
 	// work per program is identical at any parallelism, so the totals
 	// are deterministic.
@@ -194,8 +196,8 @@ func (np *networkPair) verifiable() bool { return np.srcDB != nil }
 
 func (np *networkPair) verify(ctx context.Context, src, converted *dbprog.Program) equiv.Verdict {
 	return equiv.Check(ctx,
-		src, dbprog.Config{Net: np.srcDB.Clone()},
-		converted, dbprog.Config{Net: np.targetDB.Clone()})
+		src, dbprog.Config{Net: np.srcDB.Snapshot()},
+		converted, dbprog.Config{Net: np.targetDB.Snapshot()})
 }
 
 // HierSpec is the hierarchical (IMS / DL/I) model's PairSpec.
@@ -286,6 +288,6 @@ func (hp *hierPair) verifiable() bool { return hp.srcDB != nil }
 
 func (hp *hierPair) verify(ctx context.Context, src, converted *dbprog.Program) equiv.Verdict {
 	return equiv.Check(ctx,
-		src, dbprog.Config{Hier: hp.srcDB.Clone()},
-		converted, dbprog.Config{Hier: hp.targetDB.Clone()})
+		src, dbprog.Config{Hier: hp.srcDB.Snapshot()},
+		converted, dbprog.Config{Hier: hp.targetDB.Snapshot()})
 }

@@ -198,6 +198,30 @@ func TestResiliencePanicIsolatedFailFast(t *testing.T) {
 	}
 }
 
+// TestResilienceParallelFailFastTimeout: a stage that outlives its
+// deadline fails the program, and under FailFast the batch aborts with
+// ErrFailureBudget at any parallelism — the pool's cancellation of the
+// other workers must not mask the budget error as ErrCanceled.
+func TestResilienceParallelFailFastTimeout(t *testing.T) {
+	progs := chaosCorpus(t)
+	inj := fault.New(1,
+		fault.Rule{Kind: fault.Delay, Prog: progs[10].Name, Stage: "analyze", Delay: 10 * time.Second},
+	)
+	for _, par := range []int{1, 8} {
+		sup := &Supervisor{
+			Analyst:       Policy{},
+			Parallelism:   par,
+			StageTimeout:  100 * time.Millisecond,
+			FailurePolicy: FailFast,
+		}
+		ctx := fault.With(context.Background(), inj)
+		_, err := sup.Run(ctx, schema.CompanyV1(), nil, planFigure(), nil, progs)
+		if !errors.Is(err, ErrFailureBudget) {
+			t.Errorf("parallelism=%d: want ErrFailureBudget, got %v", par, err)
+		}
+	}
+}
+
 // TestResilienceTransientRetrySucceeds: a stage failing twice with
 // Transient errors recovers on the third attempt; the audit trail and
 // the injected sleeper both record the deterministic backoff ladder.

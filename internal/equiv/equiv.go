@@ -51,8 +51,9 @@ func (v Verdict) Diff() string {
 
 // Check runs the source program under its configuration and the target
 // program under its configuration and compares the observable traces.
-// The two runs execute concurrently — they share nothing (each run gets
-// its own database clone from the caller) — and both poll ctx, so a
+// The two runs execute concurrently — they share nothing the runs write
+// (each run gets its own database snapshot from the caller) — and both
+// poll ctx, so a
 // canceled check aborts promptly on both sides. The verdict and the
 // emitted Verify event are built after both runs join, on the calling
 // goroutine, keeping the event stream deterministic. A done ctx yields

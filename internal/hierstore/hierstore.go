@@ -118,6 +118,9 @@ type DB struct {
 	segs   map[SegID]*seg
 	roots  []SegID
 	nextID SegID
+	// shared marks a Snapshot still reading its origin's structures;
+	// own clears it before the first write.
+	shared bool
 }
 
 // NewDB creates an empty database for the hierarchy. The schema must be
@@ -241,6 +244,29 @@ func (db *DB) Clone() *DB {
 		c.segs[id] = cs
 	}
 	return c
+}
+
+// Snapshot returns a copy of the database that costs O(1) to take: it
+// reads the origin's structures directly until its first write, which
+// gives it a private deep copy (own). Verification runs every program
+// on snapshots, so a read-only program copies nothing. The origin must
+// not be written while a snapshot of it is in use; any number of
+// snapshots of one origin may be read and written concurrently. Segment
+// IDs are preserved, as with Clone.
+func (db *DB) Snapshot() *DB {
+	s := *db
+	s.shared = true
+	return &s
+}
+
+// own replaces a snapshot's shared structures with Clone's deep copy of
+// them, in place, so Sessions already open on the snapshot stay valid.
+// Every mutating call (ISRT, DLET, REPL) calls it first; on a database
+// that owns its structures it does nothing.
+func (db *DB) own() {
+	if db.shared {
+		*db = *db.Clone()
+	}
 }
 
 // Session is a PCB: the position and parentage of one program against the
@@ -421,6 +447,7 @@ func (s *Session) exists(id SegID) bool {
 // segment is inserted with a single SSA. Twins with an equal sequence
 // value are rejected with II, matching IMS's no-duplicate-keys rule.
 func (s *Session) ISRT(data *value.Record, ssas ...SSA) Status {
+	s.db.own()
 	if len(ssas) == 0 {
 		return s.fail(AJ)
 	}
@@ -503,6 +530,7 @@ func (s *Session) ISRT(data *value.Record, ssas ...SSA) Status {
 // its whole subtree (IMS deletes dependents with their parent), then
 // clears the position.
 func (s *Session) DLET() Status {
+	s.db.own()
 	if s.position == 0 || !s.exists(s.position) {
 		return s.fail(DJ)
 	}
@@ -538,6 +566,7 @@ func (s *Session) DLET() Status {
 // the current position. Changing the sequence field is refused with DA,
 // as in IMS.
 func (s *Session) REPL(data *value.Record) Status {
+	s.db.own()
 	if s.position == 0 || !s.exists(s.position) {
 		return s.fail(DJ)
 	}

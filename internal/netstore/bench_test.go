@@ -57,11 +57,9 @@ func BenchmarkKeyedStore(b *testing.B) {
 	}
 }
 
-// BenchmarkClone measures a deep copy of a 5k-record CompanyV1
-// database (50 divisions, 4,950 employees), the copy every verified
-// program takes of both databases. allocs/op tracks the per-record
-// bookkeeping.
-func BenchmarkClone(b *testing.B) {
+// benchCompany loads the 5k-record CompanyV1 database the copy
+// benchmarks share: 50 divisions, 4,950 employees.
+func benchCompany(b *testing.B) *DB {
 	db := NewDB(schema.CompanyV1())
 	bl := db.NewBulkLoader(5000)
 	divs := make([]RecordID, 50)
@@ -80,6 +78,14 @@ func BenchmarkClone(b *testing.B) {
 		}
 	}
 	bl.Close(1)
+	return db
+}
+
+// BenchmarkClone measures a deep copy of the 5k-record benchCompany
+// database, the copy a snapshot takes on its first write. allocs/op
+// tracks the per-record bookkeeping.
+func BenchmarkClone(b *testing.B) {
+	db := benchCompany(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -87,5 +93,50 @@ func BenchmarkClone(b *testing.B) {
 	}
 }
 
-// cloneSink keeps BenchmarkClone's result live.
+// BenchmarkSnapshot measures what a verification run pays for its
+// database on the benchCompany database. ReadOnly takes a snapshot and
+// sweeps it with FINDs (every division in ALL-DIV order, and a keyed
+// FIND ANY of one employee per division): no copy is made. FirstWrite
+// takes a snapshot and STOREs one division: the first write pays one
+// Clone.
+func BenchmarkSnapshot(b *testing.B) {
+	db := benchCompany(b)
+	b.Run("ReadOnly", func(b *testing.B) {
+		match := value.FromPairs("EMP-NAME", "")
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			snap := db.Snapshot()
+			s := NewSession(snap)
+			n := 0
+			for st, _ := s.FindInSet("ALL-DIV", First, nil); st == OK; st, _ = s.FindInSet("ALL-DIV", Next, nil) {
+				n++
+			}
+			for d := 0; d < 50; d++ {
+				match.Set("EMP-NAME", value.Str(fmt.Sprintf("E%05d", d)))
+				if st, err := s.FindAny("EMP", match); err != nil || st != OK {
+					b.Fatalf("FIND ANY EMP: (%v, %v)", st, err)
+				}
+			}
+			if n != 50 {
+				b.Fatalf("swept %d divisions, want 50", n)
+			}
+			cloneSink = snap
+		}
+	})
+	b.Run("FirstWrite", func(b *testing.B) {
+		rec := value.FromPairs("DIV-NAME", "NEW", "DIV-LOC", "L")
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			snap := db.Snapshot()
+			if _, st, err := NewSession(snap).Store("DIV", rec); err != nil || st != OK {
+				b.Fatalf("STORE DIV: (%v, %v)", st, err)
+			}
+			cloneSink = snap
+		}
+	})
+}
+
+// cloneSink keeps the copy benchmarks' results live.
 var cloneSink *DB

@@ -65,6 +65,7 @@ const bulkSlabSize = 512
 // NewBulkLoader starts a bulk load expecting about `expected` records
 // (a sizing hint; zero is fine).
 func (db *DB) NewBulkLoader(expected int) *BulkLoader {
+	db.own()
 	if expected > 0 && len(db.recs) == 0 {
 		db.recs = make(map[RecordID]*occurrence, expected)
 	}

@@ -70,7 +70,10 @@ type DB struct {
 	// fields, maintained incrementally by every mutation path. nil when
 	// indexing is disabled (SetIndexing(false)).
 	indexes map[string][]*typeIndex
-	stats   *IndexStats // shared with clones; see IndexStats
+	stats   *IndexStats // shared with clones and snapshots; see IndexStats
+	// shared marks a Snapshot still reading its origin's structures;
+	// own clears it before the first write.
+	shared bool
 }
 
 // NewDB creates an empty database for the schema. The schema must be
@@ -433,6 +436,7 @@ const OwnerSystem = systemOwner
 // description rather than by navigation. Insertion modes are not
 // consulted: the memberships map says exactly which sets to connect.
 func (db *DB) StoreWith(recType string, rec *value.Record, memberships map[string]RecordID) (RecordID, error) {
+	db.own()
 	typ := db.schema.Record(recType)
 	if typ == nil {
 		return 0, fmt.Errorf("netstore: unknown record type %s", recType)
@@ -498,8 +502,9 @@ func (db *DB) StoreWith(recType string, rec *value.Record, memberships map[strin
 	return o.id, nil
 }
 
-// Clone returns an independent deep copy of the database, for the
-// restructurer and the bridge baseline. Record IDs are preserved.
+// Clone returns an independent deep copy of the database. Record IDs
+// are preserved. It is also the copy a Snapshot takes on its first
+// write.
 func (db *DB) Clone() *DB {
 	c := NewDB(db.schema.Clone())
 	c.nextID = db.nextID
@@ -535,4 +540,27 @@ func (db *DB) Clone() *DB {
 	c.SetIndexing(db.indexes != nil)
 	c.stats = db.stats
 	return c
+}
+
+// Snapshot returns a copy of the database that costs O(1) to take: it
+// reads the origin's structures directly until its first write, which
+// gives it a private deep copy (own). Verification runs every program
+// on snapshots, so a read-only program copies nothing. The origin must
+// not be written while a snapshot of it is in use; any number of
+// snapshots of one origin may be read and written concurrently. Record
+// IDs are preserved and the IndexStats are shared, as with Clone.
+func (db *DB) Snapshot() *DB {
+	s := *db
+	s.shared = true
+	return &s
+}
+
+// own replaces a snapshot's shared structures with Clone's deep copy of
+// them, in place, so Sessions already open on the snapshot stay valid.
+// Every mutating entry point calls it first; on a database that owns
+// its structures it does nothing.
+func (db *DB) own() {
+	if db.shared {
+		*db = *db.Clone()
+	}
 }

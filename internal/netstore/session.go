@@ -155,6 +155,7 @@ func (s *Session) matches(o *occurrence, match *value.Record) bool {
 // selected through the set's currency (the "set selection" of DBTG); with
 // no currency the store fails with NoCurrentOwner and nothing is stored.
 func (s *Session) Store(recType string, rec *value.Record) (RecordID, Status, error) {
+	s.db.own()
 	typ := s.db.schema.Record(recType)
 	if typ == nil {
 		return 0, s.status, fmt.Errorf("netstore: unknown record type %s", recType)
@@ -431,6 +432,7 @@ func (s *Session) Get(recType string) (*value.Record, Status, error) {
 // keys it moved under. A reposition that would duplicate a set key fails
 // with DuplicateInSet and leaves the record unchanged.
 func (s *Session) Modify(recType string, rec *value.Record) (Status, error) {
+	s.db.own()
 	typ := s.db.schema.Record(recType)
 	if typ == nil {
 		return s.status, fmt.Errorf("netstore: unknown record type %s", recType)
@@ -482,6 +484,7 @@ func (s *Session) Modify(recType string, rec *value.Record) (Status, error) {
 // members of sets it owns are erased with it, OPTIONAL members are
 // disconnected (§3.1's DELETE-with-cascade behaviour).
 func (s *Session) Erase(recType string) (Status, error) {
+	s.db.own()
 	if s.db.schema.Record(recType) == nil {
 		return s.status, fmt.Errorf("netstore: unknown record type %s", recType)
 	}
@@ -500,6 +503,7 @@ func (s *Session) Erase(recType string) (Status, error) {
 // Connect implements CONNECT <record> TO <set>: wires the current of
 // run-unit into the set occurrence selected by the set's currency.
 func (s *Session) Connect(set string) (Status, error) {
+	s.db.own()
 	st := s.db.schema.Set(set)
 	if st == nil {
 		return s.status, fmt.Errorf("netstore: unknown set %s", set)
@@ -530,6 +534,7 @@ func (s *Session) Connect(set string) (Status, error) {
 // Disconnect implements DISCONNECT <record> FROM <set>. Disconnecting
 // from a MANDATORY set is the retention violation of §3.1.
 func (s *Session) Disconnect(set string) (Status, error) {
+	s.db.own()
 	st := s.db.schema.Set(set)
 	if st == nil {
 		return s.status, fmt.Errorf("netstore: unknown set %s", set)

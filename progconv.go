@@ -351,6 +351,9 @@ func WithMetrics() Option {
 // WithVerifyDB supplies a populated source database: Convert migrates
 // it through the plan (Report.TargetDB) and verifies every automatic
 // conversion I/O-equivalent against the migrated data (§1.1).
+// Convert never writes db: each verification runs on a snapshot that
+// reads db directly and copies it only if the program writes. The
+// caller must not write db while Convert runs.
 func WithVerifyDB(db *Database) Option {
 	return func(o *options) { o.verifyDB = db }
 }
@@ -358,7 +361,9 @@ func WithVerifyDB(db *Database) Option {
 // WithVerifyHierDB is WithVerifyDB for the hierarchical model: the
 // database is migrated through the hierarchical plan
 // (Report.TargetHierDB) and automatic conversions are verified against
-// it. Consulted by ConvertHier only.
+// it. Consulted by ConvertHier only. As with WithVerifyDB, ConvertHier
+// never writes db, and the caller must not write db while ConvertHier
+// runs.
 func WithVerifyHierDB(db *HierDatabase) Option {
 	return func(o *options) { o.verifyHierDB = db }
 }
