@@ -441,21 +441,25 @@ func expC1() {
 		for i, m := range members {
 			progs[i] = m.Program
 		}
+		// A fresh registry per row keeps the stage means per row; the
+		// shared one accumulates the event-log counters across rows.
+		rowInst := telemetry.NewInstruments(telemetry.NewRegistry())
 		sup := core.NewSupervisor()
 		sup.Verify = false
-		sup.Metrics = obs.NewRecorder()
-		sup.Events = inst
+		sup.TimeStages = true
+		sup.Events = obs.MultiSink(inst, rowInst)
+		start := time.Now()
 		report, err := sup.Run(context.Background(), schema.CompanyV1(), nil, figurePlan(), nil, progs)
 		if err != nil {
 			fmt.Println("error:", err)
 			return
 		}
+		wall := time.Since(start)
 		auto, qualified, manual := report.Counts()
-		m := report.Metrics
 		fmt.Printf("%-44s %5d%% %9d%% %7d%% %10s %9s %9s\n", row.name, auto, qualified, manual,
-			m.Wall.Round(time.Microsecond),
-			m.Stage(obs.StageAnalyze).Mean().Round(time.Microsecond),
-			m.Stage(obs.StageConvert).Mean().Round(time.Microsecond))
+			wall.Round(time.Microsecond),
+			stageMean(rowInst.Stage, obs.StageAnalyze).Round(time.Microsecond),
+			stageMean(rowInst.Stage, obs.StageConvert).Round(time.Microsecond))
 	}
 	fmt.Println("\n(wall = batch elapsed on the concurrent supervisor;",
 		"analyze/convert = mean per-program stage time)")
@@ -490,7 +494,7 @@ func expC2() {
 	fmt.Println("run against the restructured (Figure 4.4) database by each strategy.")
 	fmt.Printf("\n%-10s %8s  %12s %12s %14s %14s %12s\n",
 		"DB size", "queries", "rewrite", "emulate", "bridge(cold)", "bridge(warm)", "conv(wall)")
-	var lastConv *obs.Metrics
+	var lastConv *telemetry.Family
 	for _, scale := range []struct {
 		name    string
 		divs    int
@@ -531,36 +535,48 @@ END PROGRAM.
 			fmt.Println("error:", err)
 			return
 		}
+		inst := telemetry.NewInstruments(telemetry.NewRegistry())
 		sup := core.NewSupervisor()
 		sup.Verify = false
-		sup.Metrics = obs.NewRecorder()
-		report, err := sup.Run(context.Background(), src.Schema(), nil, plan, nil,
-			[]*dbprog.Program{prog})
-		if err != nil {
+		sup.TimeStages = true
+		sup.Events = inst
+		start := time.Now()
+		if _, err := sup.Run(context.Background(), src.Schema(), nil, plan, nil,
+			[]*dbprog.Program{prog}); err != nil {
 			fmt.Println("error:", err)
 			return
 		}
-		lastConv = report.Metrics
+		convWall := time.Since(start)
+		lastConv = inst.Stage
 
 		fmt.Printf("%-10s %8d  %10.1fµs %10.1fµs %12.1fµs %12.1fµs %12s   (per query)\n",
 			scale.name, scale.queries,
 			us(rewriteT, scale.queries), us(emulateT, scale.queries),
 			us(coldT, scale.queries), us(warmT, scale.queries),
-			report.Metrics.Wall.Round(time.Microsecond))
+			convWall.Round(time.Microsecond))
 	}
 	if lastConv != nil {
 		fmt.Printf("\nper-stage cost of converting Q (one-time, amortized by rewrite):\n")
 		for _, st := range obs.Stages() {
-			s := lastConv.Stage(st)
-			if s.Count == 0 {
+			if lastConv.Count(st.String()) == 0 {
 				continue
 			}
-			fmt.Printf("  %-10s %10s\n", st, s.Mean().Round(time.Microsecond))
+			fmt.Printf("  %-10s %10s\n", st, stageMean(lastConv, st).Round(time.Microsecond))
 		}
 	}
 	fmt.Println("\nshape target: rewrite fastest; emulation slower by a growing factor")
 	fmt.Println("(per-call mapping + chain walking); cold bridge worst (reconstruction),")
 	fmt.Println("warm bridge approaches rewrite only because the reconstruction is cached.")
+}
+
+// stageMean is the mean stage-attempt duration in a stage latency
+// histogram (0 when the stage never ran).
+func stageMean(f *telemetry.Family, st obs.Stage) time.Duration {
+	n := f.Count(st.String())
+	if n == 0 {
+		return 0
+	}
+	return time.Duration(f.Sum(st.String()) / float64(n) * float64(time.Second))
 }
 
 func us(d time.Duration, q int) float64 {

@@ -250,8 +250,8 @@ func cmdConvert(args []string) error {
 	acceptOrder := fs.Bool("accept-order", false,
 		"analyst accepts conversions whose output order may change")
 	stats := fs.Bool("stats", false,
-		"print per-stage timing statistics after the report\n"+
-			"(histogram buckets are 1µs·4ⁱ upper bounds: <1µs, <4µs, <16µs, …)")
+		"print per-stage timing statistics after the report: one\n"+
+			"progconv_stage_latency_seconds line per stage (attempts, mean and max in seconds)")
 	parallel := fs.Int("parallel", 0,
 		"worker pool size (0 = GOMAXPROCS, 1 = serial)")
 	migrateParallel := fs.Int("migrate-parallel", 0,
@@ -380,7 +380,8 @@ func cmdConvert(args []string) error {
 	}
 
 	// Event sinks: a streaming JSONL file and/or the metrics instruments
-	// feeding the Prometheus file and the live /metrics endpoint.
+	// feeding the -stats lines, the Prometheus file and the live
+	// /metrics endpoint.
 	var sinks []progconv.Sink
 	var jsonl *progconv.JSONLSink
 	var eventsBuf *bufio.Writer
@@ -397,7 +398,7 @@ func cmdConvert(args []string) error {
 	}
 	var reg *telemetry.Registry
 	var inst *telemetry.Instruments
-	if *metricsOut != "" || *debugAddr != "" {
+	if *stats || *metricsOut != "" || *debugAddr != "" {
 		reg = telemetry.NewRegistry()
 		inst = telemetry.NewInstruments(reg)
 		sinks = append(sinks, inst)
@@ -406,9 +407,8 @@ func cmdConvert(args []string) error {
 		opts = append(opts, progconv.WithEventSink(sink))
 	}
 	// Every timing consumer reads the stage-end durations WithMetrics
-	// puts on the event log: the -stats table, the trace's stage spans,
-	// and the registry's stage histogram behind -metrics-out and
-	// -debug-addr.
+	// puts on the event log: the trace's stage spans, and the registry's
+	// stage histogram behind -stats, -metrics-out and -debug-addr.
 	if *stats || *traceOut != "" || *metricsOut != "" || *debugAddr != "" {
 		opts = append(opts, progconv.WithMetrics())
 	}
@@ -457,8 +457,9 @@ func cmdConvert(args []string) error {
 	if err != nil {
 		return err
 	}
+	wall := time.Since(runStart)
 	if inst != nil {
-		inst.JobDur.ObserveDuration("", time.Since(runStart))
+		inst.JobDur.ObserveDuration("", wall)
 		inst.ObserveDataPlane(report.DataPlane)
 	}
 	fmt.Print(report)
@@ -468,7 +469,9 @@ func cmdConvert(args []string) error {
 		}
 	}
 	if *stats {
-		fmt.Printf("\n%s", report.Metrics)
+		fmt.Printf("\nSTAGE TIMINGS (wall %s, %d programs)\n",
+			wall.Round(time.Microsecond), len(report.Outcomes))
+		inst.Stage.WriteSummary(os.Stdout)
 	}
 	if *stats && !report.DataPlane.Zero() {
 		dp := report.DataPlane

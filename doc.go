@@ -25,9 +25,8 @@
 //	                       byte-identical at any setting
 //	WithVerifyDB(db)       migrate db through the plan and verify each
 //	                       automatic conversion against it
-//	WithMetrics()          time stages into Report.Metrics and onto
-//	                       the stage-end events (trace span and
-//	                       stage-histogram durations)
+//	WithMetrics()          time stages onto the stage-end events
+//	                       (trace span and stage-histogram durations)
 //	WithEventSink(s)       stream the structured event log to s
 //	                       (RingSink, JSONLSink, MultiSink)
 //	WithTraceSink(tb)      fold the event log into tb's span tree

@@ -55,10 +55,12 @@ END PROGRAM.
 	}}
 
 	// 4. One call converts the data and the program, and verifies the
-	// conversion operationally: identical non-database I/O.
+	// conversion operationally: identical non-database I/O. WithMetrics
+	// times each stage; the trace builder folds the timings into spans.
+	tb := progconv.NewTraceBuilder(progconv.DeriveTraceID("quickstart"), "convert")
 	report, err := progconv.Convert(context.Background(),
 		src.Schema(), nil, plan, []*progconv.Program{prog},
-		progconv.WithVerifyDB(src), progconv.WithMetrics())
+		progconv.WithVerifyDB(src), progconv.WithMetrics(), progconv.WithTraceSink(tb))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,5 +71,10 @@ END PROGRAM.
 	fmt.Printf("I/O equivalent: %v\n", o.Verified.Equal)
 	fmt.Println("\noutput on the restructured database:")
 	fmt.Print(o.Verified.Target)
-	fmt.Printf("\n%s", report.Metrics)
+	fmt.Println("\nstage timings:")
+	for _, sp := range report.Trace.Spans {
+		if sp.Kind == progconv.SpanStage {
+			fmt.Printf("  %-10s %s\n", sp.Stage, sp.Dur)
+		}
+	}
 }

@@ -243,19 +243,14 @@ type Report struct {
 	// network migrator raises none today.
 	MigrationWarnings []string
 	Outcomes          []Outcome
-	// Metrics summarizes per-stage timings when the supervisor ran with
-	// a Metrics recorder (nil otherwise): the per-stage fold of the
-	// durations on the run's stage-end events. It is rendered separately
-	// from String so serial and parallel reports stay byte-identical.
-	Metrics *obs.Metrics
 	// DataPlane counts how the run's data-plane work executed: FIND
 	// index probes vs scans across this run (migration + verification)
-	// and fused vs stepwise migration steps. Like Metrics it is not part
-	// of String(): the totals are deterministic at any parallelism, but
-	// reports predating the fast path must stay byte-identical.
+	// and fused vs stepwise migration steps. It is not part of String():
+	// the totals are deterministic at any parallelism, but reports
+	// predating the fast path must stay byte-identical.
 	DataPlane obs.DataPlane
 	// Trace is the span tree assembled when the run was instrumented
-	// with a trace builder (WithTraceSink; nil otherwise). Like Metrics
+	// with a trace builder (WithTraceSink; nil otherwise). Like DataPlane
 	// it is excluded from String() and from the wire report — the trace
 	// has its own wire document and daemon endpoint.
 	Trace *telemetry.Trace
@@ -359,11 +354,11 @@ type Supervisor struct {
 	// 1 forces a serial migration. The migrated database and every
 	// report field are byte-identical at any setting.
 	MigrationParallelism int
-	// Metrics, when non-nil, times every stage attempt: the duration
-	// goes on the stage-end event and into the recorder's per-stage
-	// accumulator, which Run snapshots into Report.Metrics. When nil,
-	// stage-end events carry a zero duration.
-	Metrics *obs.Recorder
+	// TimeStages times every stage attempt and puts the duration on its
+	// stage-end event, where the event sinks (the trace builder, the
+	// telemetry stage histogram) fold it. When false, stage-end events
+	// carry a zero duration.
+	TimeStages bool
 	// Events, when non-nil, receives the structured event log: stage
 	// boundaries, hazards, rewrites, Analyst decisions, verification
 	// verdicts, and outcomes. Within one program the events arrive in
@@ -501,9 +496,7 @@ func (s *Supervisor) Run(ctx context.Context, src, dst *schema.Network, plan *xf
 	if err != nil {
 		return nil, err
 	}
-	report := reports[0]
-	report.Metrics = s.Metrics.Snapshot()
-	return report, nil
+	return reports[0], nil
 }
 
 // RunHier is Run over the hierarchical (DL/I) model: classify the
@@ -516,9 +509,7 @@ func (s *Supervisor) RunHier(ctx context.Context, src, dst *schema.Hierarchy, pl
 	if err != nil {
 		return nil, err
 	}
-	report := reports[0]
-	report.Metrics = s.Metrics.Snapshot()
-	return report, nil
+	return reports[0], nil
 }
 
 // RunJobs converts the program inventories of many schema pairs in one
@@ -527,10 +518,8 @@ func (s *Supervisor) RunHier(ctx context.Context, src, dst *schema.Hierarchy, pl
 // job is interleaved on one shared worker pool. Sub-reports are
 // assembled at submission order — reports[i] belongs to jobs[i] and is
 // byte-identical at any parallelism. The failure-policy budget and the
-// analyst serialization span the whole batch. Job reports carry no
-// Metrics snapshot: the supervisor's Metrics recorder aggregates across
-// the batch, and per-job stage timings are on the stage-end events
-// (Run, the single-job form, attaches the snapshot itself).
+// analyst serialization span the whole batch. Stage timings are on the
+// stage-end events (TimeStages).
 func (s *Supervisor) RunJobs(ctx context.Context, jobs []Job) ([]*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, canceledErr(context.Cause(ctx))

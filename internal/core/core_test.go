@@ -244,28 +244,48 @@ func TestParallelRunMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestMetricsRecorded: with TimeStages on, every stage attempt's
+// stage-end event carries its measured duration; with it off, every
+// duration is zero. Either way the stage-end events account for each
+// program's analyze attempt and the run's verifications.
 func TestMetricsRecorded(t *testing.T) {
-	sup := NewSupervisor()
-	sup.Metrics = obs.NewRecorder()
-	report, err := sup.Run(context.Background(), schema.CompanyV1(), schema.CompanyV2(), nil,
-		companyV1DB(t), applicationSystem(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Metrics == nil {
-		t.Fatal("metrics recorder given, none snapshotted")
-	}
-	an := report.Metrics.Stage(obs.StageAnalyze)
-	if an.Count != int64(len(report.Outcomes)) {
-		t.Errorf("analyze spans = %d, want %d", an.Count, len(report.Outcomes))
-	}
-	if report.Metrics.Stage(obs.StageVerify).Count == 0 {
-		t.Error("verified run recorded no verify spans")
-	}
-	// The generate stage produced real program text for converted outcomes.
-	for _, o := range report.Outcomes {
-		if o.Converted != nil && o.Generated == "" {
-			t.Errorf("%s: converted but no generated text", o.Name)
+	for _, timed := range []bool{true, false} {
+		ring := obs.NewRingSink(1 << 14)
+		sup := NewSupervisor()
+		sup.TimeStages = timed
+		sup.Events = ring
+		report, err := sup.Run(context.Background(), schema.CompanyV1(), schema.CompanyV2(), nil,
+			companyV1DB(t), applicationSystem(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ring.Dropped() != 0 {
+			t.Fatalf("ring dropped %d events", ring.Dropped())
+		}
+		ends := map[obs.Stage]int{}
+		for _, ev := range ring.Events() {
+			if ev.Kind != obs.EvStageEnd {
+				continue
+			}
+			ends[ev.Stage]++
+			if timed && ev.Dur <= 0 {
+				t.Errorf("TimeStages: %s %s stage-end Dur = %v, want > 0", ev.Prog, ev.Stage, ev.Dur)
+			}
+			if !timed && ev.Dur != 0 {
+				t.Errorf("untimed: %s %s stage-end Dur = %v, want 0", ev.Prog, ev.Stage, ev.Dur)
+			}
+		}
+		if ends[obs.StageAnalyze] != len(report.Outcomes) {
+			t.Errorf("analyze stage-ends = %d, want %d", ends[obs.StageAnalyze], len(report.Outcomes))
+		}
+		if ends[obs.StageVerify] == 0 {
+			t.Error("verified run emitted no verify stage-ends")
+		}
+		// The generate stage produced real program text for converted outcomes.
+		for _, o := range report.Outcomes {
+			if o.Converted != nil && o.Generated == "" {
+				t.Errorf("%s: converted but no generated text", o.Name)
+			}
 		}
 	}
 }

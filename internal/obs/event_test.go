@@ -30,17 +30,15 @@ func TestNilEmitterNoOps(t *testing.T) {
 	}
 }
 
-// TestSpanHotPathZeroAlloc is the ISSUE's allocation acceptance
-// criterion: an instrumented pipeline with no sink installed adds zero
-// allocations on the span hot path (warm recorder, nil emitter).
+// TestSpanHotPathZeroAlloc: a timed stage attempt with no sink
+// installed — the supervisor's clock read, the stage-end emission with
+// its duration — adds zero allocations to the pipeline's hot path.
 func TestSpanHotPathZeroAlloc(t *testing.T) {
-	r := NewRecorder()
-	r.StartSpan("P", StageConvert).End() // warm the program-name set
 	var e *Emitter
 	if allocs := testing.AllocsPerRun(100, func() {
 		e.StageStart("P", StageConvert)
-		sp := r.StartSpan("P", StageConvert)
-		e.StageEnd("P", StageConvert, sp.End())
+		start := time.Now()
+		e.StageEnd("P", StageConvert, time.Since(start))
 	}); allocs != 0 {
 		t.Errorf("span hot path allocated %v per run, want 0", allocs)
 	}

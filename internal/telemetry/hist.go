@@ -3,10 +3,10 @@ package telemetry
 // Histogram instruments, counters and gauges with the one Prometheus
 // text exporter in the repository, and the standard Instruments set
 // every front end registers. Bucket boundaries are fixed at
-// construction — the same deterministic 1µs·4ⁱ geometry internal/obs
-// uses for stage spans — and every registered series is rendered
-// unconditionally (zero counts included), so scrapers never see series
-// appear, disappear, or shift buckets between scrapes.
+// construction — a deterministic 1µs·4ⁱ geometry for latencies — and
+// every registered series is rendered unconditionally (zero counts
+// included), so scrapers never see series appear, disappear, or shift
+// buckets between scrapes.
 
 import (
 	"fmt"
@@ -20,7 +20,7 @@ import (
 )
 
 // LatencyBuckets returns the standard duration boundaries in seconds:
-// 1µs·4ⁱ for i in [0, 16), matching the obs stage histogram geometry.
+// 1µs·4ⁱ for i in [0, 16) — 1µs, 4µs, 16µs, … ~1074s — below +Inf.
 func LatencyBuckets() []float64 {
 	out := make([]float64, 16)
 	b := 1e-6
@@ -107,6 +107,16 @@ func (f *Family) Count(label string) int64 {
 	defer f.mu.Unlock()
 	if s := f.byLabel[label]; s != nil {
 		return s.count
+	}
+	return 0
+}
+
+// Sum returns one series' sum of observed values (0 when absent).
+func (f *Family) Sum(label string) float64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if s := f.byLabel[label]; s != nil {
+		return s.sum
 	}
 	return 0
 }
@@ -334,20 +344,7 @@ func (f *Family) writePrometheus(w io.Writer) error {
 func (r *Registry) WriteSummary(w io.Writer) {
 	families, counters, gauges := r.snapshotFamilies()
 	for _, f := range families {
-		f.mu.Lock()
-		for _, s := range f.series {
-			name := f.name
-			if f.labelKey != "" {
-				name = fmt.Sprintf("%s{%s=%q}", f.name, f.labelKey, s.label)
-			}
-			mean := 0.0
-			if s.count > 0 {
-				mean = s.sum / float64(s.count)
-			}
-			fmt.Fprintf(w, "  %-60s count=%d mean=%s max=%s\n",
-				name, s.count, formatFloat(mean), formatFloat(s.max))
-		}
-		f.mu.Unlock()
+		f.WriteSummary(w)
 	}
 	for _, c := range counters {
 		for _, s := range c.snapshot() {
@@ -356,6 +353,26 @@ func (r *Registry) WriteSummary(w io.Writer) {
 	}
 	for _, g := range gauges {
 		fmt.Fprintf(w, "  %-60s value=%s\n", g.name, formatFloat(g.fn()))
+	}
+}
+
+// WriteSummary renders one human-readable line per series of the
+// family, in label-registration order — the lines of the /statusz
+// histogram section and of `progconv convert -stats`.
+func (f *Family) WriteSummary(w io.Writer) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, s := range f.series {
+		name := f.name
+		if f.labelKey != "" {
+			name = fmt.Sprintf("%s{%s=%q}", f.name, f.labelKey, s.label)
+		}
+		mean := 0.0
+		if s.count > 0 {
+			mean = s.sum / float64(s.count)
+		}
+		fmt.Fprintf(w, "  %-60s count=%d mean=%s max=%s\n",
+			name, s.count, formatFloat(mean), formatFloat(s.max))
 	}
 }
 

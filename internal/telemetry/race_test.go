@@ -8,6 +8,7 @@ package telemetry
 
 import (
 	"io"
+	"math"
 	"strconv"
 	"sync"
 	"testing"
@@ -105,6 +106,10 @@ func TestConcurrentEmitAndScrape(t *testing.T) {
 	}
 	if got := in.Stage.Count("analyze"); got != 8*rounds {
 		t.Errorf("analyze observations = %d, want %d", got, 8*rounds)
+	}
+	// Every analyze attempt i took iµs: the sum loses no observation.
+	if got, want := in.Stage.Sum("analyze"), 8*float64(rounds*(rounds-1)/2)*1e-6; math.Abs(got-want) > 1e-9 {
+		t.Errorf("analyze sum = %gs, want %gs", got, want)
 	}
 	if got := in.Rewrites.Get("get"); got != 8*rounds {
 		t.Errorf("get rewrites = %d, want %d", got, 8*rounds)

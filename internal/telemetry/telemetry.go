@@ -103,8 +103,9 @@ func Traceparent(t TraceID, s SpanID) string {
 }
 
 // ParseTraceparent parses a W3C traceparent header into its trace and
-// parent-span IDs. Malformed headers — wrong field lengths, non-hex
-// digits, the forbidden version ff, or all-zero IDs — are rejected, so
+// parent-span IDs. Malformed headers — wrong field lengths or
+// separators, anything but lowercase hex digits, the forbidden version
+// ff, or all-zero IDs — are rejected (W3C Trace Context §3.2), so
 // callers fall back to a derived trace ID.
 func ParseTraceparent(h string) (TraceID, SpanID, error) {
 	var t TraceID
@@ -112,27 +113,42 @@ func ParseTraceparent(h string) (TraceID, SpanID, error) {
 	if len(h) < 55 || h[2] != '-' || h[35] != '-' || h[52] != '-' {
 		return t, s, fmt.Errorf("traceparent: malformed header %q", h)
 	}
-	ver, err := hex.DecodeString(h[0:2])
-	if err != nil || ver[0] == 0xff {
-		return t, s, fmt.Errorf("traceparent: bad version %q", h[0:2])
+	ver := h[0:2]
+	if !lowerHex(ver) || ver == "ff" {
+		return t, s, fmt.Errorf("traceparent: bad version %q", ver)
 	}
-	// Version 00 has exactly four fields; later versions may append.
-	if ver[0] == 0 && len(h) != 55 {
+	// Version 00 has exactly four fields; later versions may append
+	// more, each after a '-'.
+	if len(h) > 55 && (ver == "00" || h[55] != '-') {
 		return t, s, fmt.Errorf("traceparent: malformed header %q", h)
 	}
-	if _, err := hex.Decode(t[:], []byte(h[3:35])); err != nil {
-		return t, s, fmt.Errorf("traceparent: bad trace-id: %v", err)
+	if !lowerHex(h[3:35]) {
+		return t, s, fmt.Errorf("traceparent: bad trace-id %q", h[3:35])
 	}
-	if _, err := hex.Decode(s[:], []byte(h[36:52])); err != nil {
-		return t, s, fmt.Errorf("traceparent: bad parent-id: %v", err)
+	if !lowerHex(h[36:52]) {
+		return t, s, fmt.Errorf("traceparent: bad parent-id %q", h[36:52])
 	}
-	if _, err := hex.DecodeString(h[53:55]); err != nil {
-		return t, s, fmt.Errorf("traceparent: bad flags: %v", err)
+	if !lowerHex(h[53:55]) {
+		return t, s, fmt.Errorf("traceparent: bad flags %q", h[53:55])
 	}
+	// Both fields were checked as lowercase hex of the right length, so
+	// decoding cannot fail.
+	_, _ = hex.Decode(t[:], []byte(h[3:35]))
+	_, _ = hex.Decode(s[:], []byte(h[36:52]))
 	if t.IsZero() || s.IsZero() {
 		return t, s, fmt.Errorf("traceparent: all-zero ID")
 	}
 	return t, s, nil
+}
+
+// lowerHex reports whether s is made of lowercase hex digits only.
+func lowerHex(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // ordinal renders a span ordinal for ID-derivation paths.

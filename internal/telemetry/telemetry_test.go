@@ -3,7 +3,9 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -30,25 +32,59 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	}
 }
 
+// traceparentValid is a well-formed version-00 sampled header.
+const traceparentValid = "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
+
+// traceparentRejects are malformed headers ParseTraceparent must refuse.
+var traceparentRejects = map[string]string{
+	"empty":          "",
+	"short":          "00-0af7651916cd43dd8448eb211c80319c-b7ad6b71692033-01",
+	"bad dashes":     "00x0af7651916cd43dd8448eb211c80319cxb7ad6b7169203331x01",
+	"version ff":     "ff-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",
+	"bad hex":        "00-0af7651916cd43dd8448eb211c80319z-b7ad6b7169203331-01",
+	"zero trace id":  "00-00000000000000000000000000000000-b7ad6b7169203331-01",
+	"zero parent id": "00-0af7651916cd43dd8448eb211c80319c-0000000000000000-01",
+	"ver00 too long": traceparentValid + "-extra",
+	"uppercase hex":  "00-0AF7651916CD43DD8448EB211C80319C-B7AD6B7169203331-01",
+	"ver01 no dash":  "01-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01xyz",
+}
+
 func TestParseTraceparentRejects(t *testing.T) {
-	valid := "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
-	if _, _, err := ParseTraceparent(valid); err != nil {
+	if _, _, err := ParseTraceparent(traceparentValid); err != nil {
 		t.Fatalf("valid header rejected: %v", err)
 	}
-	for name, h := range map[string]string{
-		"empty":          "",
-		"short":          "00-0af7651916cd43dd8448eb211c80319c-b7ad6b71692033-01",
-		"bad dashes":     "00x0af7651916cd43dd8448eb211c80319cxb7ad6b7169203331x01",
-		"version ff":     "ff-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",
-		"bad hex":        "00-0af7651916cd43dd8448eb211c80319z-b7ad6b7169203331-01",
-		"zero trace id":  "00-00000000000000000000000000000000-b7ad6b7169203331-01",
-		"zero parent id": "00-0af7651916cd43dd8448eb211c80319c-0000000000000000-01",
-		"ver00 too long": valid + "-extra",
-	} {
+	for name, h := range traceparentRejects {
 		if _, _, err := ParseTraceparent(h); err == nil {
 			t.Errorf("%s: %q accepted, want error", name, h)
 		}
 	}
+}
+
+// FuzzParseTraceparent: ParseTraceparent never panics; the IDs of an
+// accepted header survive a Traceparent render and re-parse unchanged;
+// and an accepted version-00 sampled header is exactly the header
+// Traceparent renders for its IDs, byte for byte.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Add(traceparentValid)
+	f.Add(Traceparent(DeriveTraceID("fuzz"), DeriveSpanID(DeriveTraceID("fuzz"), "root")))
+	f.Add("01-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01-future")
+	for _, h := range traceparentRejects {
+		f.Add(h)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		tid, sid, err := ParseTraceparent(h)
+		if err != nil {
+			return
+		}
+		out := Traceparent(tid, sid)
+		t2, s2, err := ParseTraceparent(out)
+		if err != nil || t2 != tid || s2 != sid {
+			t.Fatalf("%q: IDs %s/%s re-parse from %q as %s/%s (%v)", h, tid, sid, out, t2, s2, err)
+		}
+		if strings.HasPrefix(h, "00-") && strings.HasSuffix(h, "-01") && h != out {
+			t.Fatalf("accepted %q renders back as %q", h, out)
+		}
+	})
 }
 
 func TestDeriveIDsDeterministicAndDistinct(t *testing.T) {
@@ -407,6 +443,16 @@ func TestHistogramBucketEdges(t *testing.T) {
 	if !strings.Contains(buf.String(), `edges_bucket{le="1e-06"} 1`) {
 		t.Errorf("boundary observation not in its bucket:\n%s", buf.String())
 	}
+	// Between bounds: the next 1µs·4ⁱ bucket up (2µs → le 4µs).
+	f.ObserveDuration("", 2*time.Microsecond)
+	buf.Reset()
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `edges_bucket{le="1e-06"} 1`) ||
+		!strings.Contains(buf.String(), `edges_bucket{le="4e-06"} 2`) {
+		t.Errorf("2µs observation not in the 4µs bucket:\n%s", buf.String())
+	}
 	// Above the last finite bound: only +Inf.
 	f2 := r.Family("over", "h", "", CountBuckets())
 	f2.Observe("", 1e9)
@@ -417,6 +463,53 @@ func TestHistogramBucketEdges(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, `over_bucket{le="262144"} 0`) || !strings.Contains(out, `over_bucket{le="+Inf"} 1`) {
 		t.Errorf("overflow observation mishandled:\n%s", out)
+	}
+}
+
+// TestInstrumentsStageSummary: stage-end events fold into the stage
+// histogram per stage (count, sum), and Family.WriteSummary renders one
+// line per stage — unobserved stages at count=0 — identical to the
+// stage lines of the registry-wide /statusz summary.
+func TestInstrumentsStageSummary(t *testing.T) {
+	r := NewRegistry()
+	in := NewInstruments(r)
+	for _, d := range []time.Duration{time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond} {
+		in.Emit(obs.Event{Kind: obs.EvStageEnd, Stage: obs.StageConvert, Dur: d})
+	}
+	in.Emit(obs.Event{Kind: obs.EvStageEnd, Stage: obs.StageAnalyze, Dur: 4 * time.Microsecond})
+	in.Emit(obs.Event{Kind: obs.EvStageStart, Stage: obs.StageVerify})
+	if n, sum := in.Stage.Count("convert"), in.Stage.Sum("convert"); n != 3 || math.Abs(sum-0.006) > 1e-12 {
+		t.Errorf("convert count/sum = %d/%g, want 3/0.006", n, sum)
+	}
+	if n, sum := in.Stage.Count("verify"), in.Stage.Sum("verify"); n != 0 || sum != 0 {
+		t.Errorf("verify count/sum = %d/%g, want 0/0 (no stage-end)", n, sum)
+	}
+	if sum := in.Stage.Sum("no-such-stage"); sum != 0 {
+		t.Errorf("absent series sum = %g", sum)
+	}
+
+	var fam, all strings.Builder
+	in.Stage.WriteSummary(&fam)
+	r.WriteSummary(&all)
+	lines := strings.Split(strings.TrimSuffix(fam.String(), "\n"), "\n")
+	if len(lines) != len(obs.Stages()) {
+		t.Fatalf("summary has %d lines, want one per stage:\n%s", len(lines), fam.String())
+	}
+	for i, st := range obs.Stages() {
+		if want := fmt.Sprintf("progconv_stage_latency_seconds{stage=%q}", st); !strings.Contains(lines[i], want) {
+			t.Errorf("line %d = %q, want series %s", i, lines[i], want)
+		}
+	}
+	for _, want := range []string{"count=3 mean=0.002 max=0.003", "count=1 mean=4e-06 max=4e-06"} {
+		if !strings.Contains(fam.String(), want) {
+			t.Errorf("summary missing %q:\n%s", want, fam.String())
+		}
+	}
+	if !strings.Contains(lines[4], "count=0 mean=0 max=0") {
+		t.Errorf("unobserved verify line = %q", lines[4])
+	}
+	if !strings.Contains(all.String(), fam.String()) {
+		t.Errorf("registry summary lacks the family's lines:\n%s", all.String())
 	}
 }
 

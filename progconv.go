@@ -80,10 +80,6 @@ type (
 	FailureKind   = core.FailureKind
 	Retry         = core.Retry
 
-	// Metrics is the per-stage timing summary embedded in a Report when
-	// the run was instrumented with WithMetrics.
-	Metrics = obs.Metrics
-
 	// The structured event log: Events of the listed EventKinds flow to a
 	// Sink installed via WithEventSink. RingSink and JSONLSink are the
 	// provided sinks; Audit and Decision are the per-outcome decision
@@ -338,12 +334,11 @@ func WithMigrationParallelism(n int) Option {
 	return func(o *options) { o.migrationParallelism = n }
 }
 
-// WithMetrics instruments the run: each program's analyze → convert →
-// optimize → generate → verify chain is timed per stage and the summary
-// lands in Report.Metrics. The same durations ride on the stage-end
-// events, so an event sink, a trace builder (span Dur) and the
-// telemetry stage histogram all see them; without WithMetrics they
-// are 0.
+// WithMetrics times the run: each attempt of each program's analyze →
+// convert → optimize → generate → verify chain is timed and the
+// duration rides on its stage-end event, so an event sink, a trace
+// builder (span Dur) and the telemetry stage histogram all see it;
+// without WithMetrics every stage-end duration is 0.
 func WithMetrics() Option {
 	return func(o *options) { o.metrics = true }
 }
@@ -530,9 +525,7 @@ func (o *options) supervisor() *core.Supervisor {
 	}
 	sup.Parallelism = o.parallelism
 	sup.MigrationParallelism = o.migrationParallelism
-	if o.metrics {
-		sup.Metrics = obs.NewRecorder()
-	}
+	sup.TimeStages = o.metrics
 	sup.Events = o.sink
 	if o.trace != nil {
 		sup.Events = obs.MultiSink(o.trace, o.sink)

@@ -17,6 +17,7 @@ import (
 	"progconv/internal/analyzer"
 	"progconv/internal/corpus"
 	"progconv/internal/dbprog"
+	"progconv/internal/obs"
 	"progconv/internal/schema"
 	"progconv/internal/telemetry"
 )
@@ -35,22 +36,46 @@ func corpusPrograms(t *testing.T) []*Program {
 }
 
 // TestConvertParallelCorpus drives the EXP-C1 corpus through the public
-// facade on the default (GOMAXPROCS-sized) worker pool. Run under
-// `go test -race` this is the framework's data-race acceptance test.
-// It also checks that the three folds of the stage-end durations —
-// Report.Metrics, the trace's stage spans and the registry's stage
-// histogram — agree per stage.
+// facade on the default (GOMAXPROCS-sized) worker pool, once through
+// Convert and once through ConvertJobs. Run under `go test -race` this
+// is the framework's data-race acceptance test. It also checks that the
+// two folds of the stage-end durations — the trace's stage spans and
+// the registry's stage histogram — agree per stage, and that WithMetrics
+// timed every attempt.
 func TestConvertParallelCorpus(t *testing.T) {
 	progs := corpusPrograms(t)
-	db := corpus.Database(corpus.PeriodProfile(42))
-	reg := telemetry.NewRegistry()
-	inst := telemetry.NewInstruments(reg)
-	tb := NewTraceBuilder(DeriveTraceID("parallel-corpus"), "convert")
-	report, err := Convert(context.Background(), schema.CompanyV1(), nil, figurePlan(), progs,
-		WithVerifyDB(db), WithMetrics(), WithTraceSink(tb), WithEventSink(inst))
-	if err != nil {
-		t.Fatal(err)
+	for _, facade := range []string{"Convert", "ConvertJobs"} {
+		t.Run(facade, func(t *testing.T) {
+			db := corpus.Database(corpus.PeriodProfile(42))
+			reg := telemetry.NewRegistry()
+			inst := telemetry.NewInstruments(reg)
+			tb := NewTraceBuilder(DeriveTraceID("parallel-corpus", facade), "convert")
+			opts := []Option{WithMetrics(), WithTraceSink(tb), WithEventSink(inst)}
+			var report *Report
+			var err error
+			if facade == "Convert" {
+				report, err = Convert(context.Background(), schema.CompanyV1(), nil, figurePlan(), progs,
+					append(opts, WithVerifyDB(db))...)
+			} else {
+				var reports []*Report
+				reports, err = ConvertJobs(context.Background(), []Job{{Src: schema.CompanyV1(),
+					Plan: figurePlan(), DB: db, Programs: progs}}, opts...)
+				if err == nil {
+					report = reports[0]
+					report.Trace = tb.Snapshot()
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkParallelCorpus(t, report, progs, reg, inst)
+		})
 	}
+}
+
+func checkParallelCorpus(t *testing.T, report *Report, progs []*Program,
+	reg *telemetry.Registry, inst *telemetry.Instruments) {
+	t.Helper()
 	if len(report.Outcomes) != len(progs) {
 		t.Fatalf("outcomes = %d, want %d", len(report.Outcomes), len(progs))
 	}
@@ -63,9 +88,6 @@ func TestConvertParallelCorpus(t *testing.T) {
 	if auto == 0 {
 		t.Error("no automatic conversions over the period corpus")
 	}
-	if report.Metrics == nil || report.Metrics.Programs != len(progs) {
-		t.Fatalf("metrics = %+v", report.Metrics)
-	}
 
 	var expo strings.Builder
 	if err := reg.WritePrometheus(&expo); err != nil {
@@ -75,25 +97,26 @@ func TestConvertParallelCorpus(t *testing.T) {
 	spanDur := map[string]time.Duration{}
 	for _, sp := range report.Trace.Spans {
 		if sp.Kind == SpanStage {
+			if sp.Dur <= 0 {
+				t.Errorf("%s %s: attempt timed at %v under WithMetrics", sp.Prog, sp.Stage, sp.Dur)
+			}
 			spanN[sp.Stage]++
 			spanDur[sp.Stage] += sp.Dur
 		}
 	}
-	for _, st := range report.Metrics.ByStage {
-		name := st.Stage.String()
-		if st.Count > 0 && st.Total == 0 {
-			t.Errorf("%s: %d attempts timed at 0s under WithMetrics", name, st.Count)
+	for _, st := range []string{"analyze", "convert", "verify"} {
+		if spanN[st] == 0 {
+			t.Errorf("%s: no stage spans", st)
 		}
-		if n := inst.Stage.Count(name); n != st.Count {
-			t.Errorf("%s: registry count %d, Metrics count %d", name, n, st.Count)
-		}
-		if spanN[name] != st.Count || spanDur[name] != st.Total {
-			t.Errorf("%s: trace %d spans / %v, Metrics %d / %v",
-				name, spanN[name], spanDur[name], st.Count, st.Total)
+	}
+	for _, st := range obs.Stages() {
+		name := st.String()
+		if n := inst.Stage.Count(name); n != spanN[name] {
+			t.Errorf("%s: registry count %d, trace %d spans", name, n, spanN[name])
 		}
 		sum := promSample(t, expo.String(), fmt.Sprintf("progconv_stage_latency_seconds_sum{stage=%q}", name))
-		if want := st.Total.Seconds(); math.Abs(sum-want) > 1e-9*math.Max(math.Abs(sum), math.Abs(want)) {
-			t.Errorf("%s: registry sum %gs, Metrics total %gs", name, sum, want)
+		if want := spanDur[name].Seconds(); math.Abs(sum-want) > 1e-9*math.Max(math.Abs(sum), math.Abs(want)) {
+			t.Errorf("%s: registry sum %gs, trace spans %gs", name, sum, want)
 		}
 	}
 }
