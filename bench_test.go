@@ -189,8 +189,9 @@ END PROGRAM.
 	return progs, db
 }
 
-// BenchmarkMarylandFind backs EXP-F4.3: evaluating the paper's §4.2 FIND
-// examples against the Figure 4.2 database.
+// BenchmarkMarylandFind backs EXP-F4.3 and EXP-C10: evaluating the
+// paper's §4.2 FIND example 1 against the Figure 4.2 database (find),
+// and the SORT of its unqualified path on two keys (sort).
 func BenchmarkMarylandFind(b *testing.B) {
 	db := corpus.Database(corpus.Profile{Seed: 1, Divisions: 6, DeptsPerDiv: 4, EmpsPerDept: 10})
 	ev := mdml.NewEvaluator(db)
@@ -198,12 +199,26 @@ func BenchmarkMarylandFind(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ev.Eval(f); err != nil {
-			b.Fatal(err)
-		}
+	s, err := mdml.ParseSortOrFind("SORT(FIND(EMP: SYSTEM, ALL-DIV, DIV, DIV-EMP, EMP)) ON (AGE, EMP-NAME)")
+	if err != nil {
+		b.Fatal(err)
 	}
+	b.Run("find", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := ev.Eval(f); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("sort", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := ev.EvalSort(s.(*mdml.Sort)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkFindConversion backs EXP-F4.4: converting the paper's FIND

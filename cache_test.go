@@ -12,6 +12,8 @@ import (
 	"testing"
 
 	"progconv/internal/corpus"
+	"progconv/internal/dbprog"
+	"progconv/internal/netstore"
 	"progconv/internal/schema"
 	"progconv/internal/telemetry"
 	"progconv/internal/xform"
@@ -158,5 +160,56 @@ func TestConcurrentConvertsShareOneCache(t *testing.T) {
 	if s := cache.Stats(); s.PairMisses != int64(len(variants)) {
 		t.Errorf("pair misses = %d, want %d (singleflight across goroutines)",
 			s.PairMisses, len(variants))
+	}
+}
+
+// TestCacheKeepsFloatLiteralsApart: PRINT 7.0 / 2. and PRINT 7 / 2.
+// differ only in a literal's kind, so their canonical forms — the
+// fingerprint input and the generated text — must differ too. When a
+// Float rendered as 7 they shared one fingerprint, and a cache warmed by
+// the Int program served its conversion (printing 3) for the Float one.
+func TestCacheKeepsFloatLiteralsApart(t *testing.T) {
+	cache := NewCache(8)
+	convert := func(expr string) (*Outcome, string) {
+		t.Helper()
+		p, err := ParseProgram("PROGRAM DIV DIALECT NETWORK.\n  PRINT " + expr + ".\nEND PROGRAM.\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		report, err := Convert(context.Background(), schema.CompanyV1(), schema.CompanyV2(), nil,
+			[]*Program{p}, WithCache(cache))
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := &report.Outcomes[0]
+		if o.Converted == nil {
+			t.Fatalf("%s: not converted: %v", expr, o.Disposition)
+		}
+		tr, err := dbprog.Run(o.Converted, dbprog.Config{Net: netstore.NewDB(schema.CompanyV2())})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o, tr.String()
+	}
+	if _, out := convert("7 / 2"); !strings.Contains(out, "3") || strings.Contains(out, "3.5") {
+		t.Fatalf("int program prints %q, want 3", out)
+	}
+	o, out := convert("7.0 / 2")
+	if !strings.Contains(out, "3.5") {
+		t.Errorf("float program after a cached int program prints %q, want 3.5", out)
+	}
+	if !strings.Contains(o.Generated, "7.0 / 2") {
+		t.Errorf("generated text lost the float literal:\n%s", o.Generated)
+	}
+	re, err := ParseProgram(o.Generated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := dbprog.Run(re, dbprog.Config{Net: netstore.NewDB(schema.CompanyV2())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(tr.String(), "3.5") {
+		t.Errorf("reparsed generated text prints %q, want 3.5", tr.String())
 	}
 }

@@ -125,6 +125,23 @@ END PROGRAM.
 	}
 }
 
+// TestFormatFloatLiterals: Parse(Format(p)) keeps a Float literal's kind
+// and value. Rendered through %g, 7.0 came back as the Int 7 (so
+// PRINT 7.0 / 2 printed 3) and 1000000.0 as 1e+06, which does not parse.
+func TestFormatFloatLiterals(t *testing.T) {
+	for _, lit := range []string{"7.0", "1000000.0", "0.00001"} {
+		p1 := mustParse(t, "PROGRAM F DIALECT NETWORK.\n  LET X = "+lit+".\nEND PROGRAM.\n")
+		p2, err := Parse(Format(p1))
+		if err != nil {
+			t.Fatalf("%s: formatted program does not reparse: %v\n%s", lit, err, Format(p1))
+		}
+		a, b := p1.Stmts[0].(Let).E.(Lit).V, p2.Stmts[0].(Let).E.(Lit).V
+		if a.Kind() != value.Float || b.Kind() != value.Float || a.AsFloat() != b.AsFloat() {
+			t.Errorf("%s: %v (%v) reparsed as %v (%v)", lit, a, a.Kind(), b, b.Kind())
+		}
+	}
+}
+
 func TestFormatExprForms(t *testing.T) {
 	cases := []struct {
 		e    Expr

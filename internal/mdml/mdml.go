@@ -15,17 +15,26 @@ package mdml
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"progconv/internal/netstore"
 	"progconv/internal/value"
 )
 
+// FieldReader is the one read a qualification makes of a record: a
+// field's value and whether the record has the field. *value.Record
+// satisfies it; the evaluator passes a view that reads the stored
+// occurrence in place, so testing a candidate builds no record.
+type FieldReader interface {
+	Get(name string) (value.Value, bool)
+}
+
 // Qual is a boolean qualification over one record's fields.
 type Qual interface {
 	fmt.Stringer
 	// Eval tests the record; params supply :NAME placeholders.
-	Eval(rec *value.Record, params map[string]value.Value) (bool, error)
+	Eval(rec FieldReader, params map[string]value.Value) (bool, error)
 }
 
 // Cmp is FIELD op operand.
@@ -44,7 +53,7 @@ func (c Cmp) String() string {
 }
 
 // Eval implements Qual.
-func (c Cmp) Eval(rec *value.Record, params map[string]value.Value) (bool, error) {
+func (c Cmp) Eval(rec FieldReader, params map[string]value.Value) (bool, error) {
 	lhs, ok := rec.Get(c.Field)
 	if !ok {
 		return false, fmt.Errorf("mdml: record has no field %s", c.Field)
@@ -87,7 +96,7 @@ type And struct{ L, R Qual }
 func (q And) String() string { return fmt.Sprintf("(%s AND %s)", q.L, q.R) }
 
 // Eval implements Qual.
-func (q And) Eval(rec *value.Record, params map[string]value.Value) (bool, error) {
+func (q And) Eval(rec FieldReader, params map[string]value.Value) (bool, error) {
 	l, err := q.L.Eval(rec, params)
 	if err != nil || !l {
 		return false, err
@@ -101,7 +110,7 @@ type Or struct{ L, R Qual }
 func (q Or) String() string { return fmt.Sprintf("(%s OR %s)", q.L, q.R) }
 
 // Eval implements Qual.
-func (q Or) Eval(rec *value.Record, params map[string]value.Value) (bool, error) {
+func (q Or) Eval(rec FieldReader, params map[string]value.Value) (bool, error) {
 	l, err := q.L.Eval(rec, params)
 	if err != nil || l {
 		return l, err
@@ -115,7 +124,7 @@ type Not struct{ Q Qual }
 func (q Not) String() string { return fmt.Sprintf("(NOT %s)", q.Q) }
 
 // Eval implements Qual.
-func (q Not) Eval(rec *value.Record, params map[string]value.Value) (bool, error) {
+func (q Not) Eval(rec FieldReader, params map[string]value.Value) (bool, error) {
 	v, err := q.Q.Eval(rec, params)
 	return !v, err
 }
@@ -259,6 +268,16 @@ func NewEvaluator(db *netstore.DB) *Evaluator {
 // DB returns the underlying database.
 func (e *Evaluator) DB() *netstore.DB { return e.db }
 
+// occView reads the fields of one stored occurrence in place through
+// DB.Field. A path step reuses one view for all its candidates.
+type occView struct {
+	db *netstore.DB
+	id netstore.RecordID
+}
+
+// Get implements FieldReader.
+func (v *occView) Get(name string) (value.Value, bool) { return v.db.Field(v.id, name) }
+
 // Eval runs a FIND and returns the resulting collection of record IDs,
 // in traversal order, without duplicates (§4.2: "Duplicates are not
 // allowed").
@@ -328,13 +347,15 @@ func (e *Evaluator) Eval(f *Find) ([]netstore.RecordID, error) {
 				return nil, fmt.Errorf("mdml: unknown record type %s", step.Name)
 			}
 			var next []netstore.RecordID
+			view := &occView{db: e.db}
 			for _, id := range current {
 				if e.db.TypeOf(id) != step.Name {
 					return nil, fmt.Errorf("mdml: path yields %s records where %s expected",
 						e.db.TypeOf(id), step.Name)
 				}
 				if step.Qual != nil {
-					keep, err := step.Qual.Eval(e.db.Data(id), e.Params)
+					view.id = id
+					keep, err := step.Qual.Eval(view, e.Params)
 					if err != nil {
 						return nil, err
 					}
@@ -363,35 +384,42 @@ func (e *Evaluator) EvalSort(s *Sort) ([]netstore.RecordID, error) {
 	return e.SortIDs(ids, s.On)
 }
 
-// SortIDs orders a collection by the given fields of the records' data.
+// SortIDs orders a collection by the given fields of the records' data,
+// ascending by value.CompareTotal on each field in turn; the sort is
+// stable, so collection order breaks ties. Only the sort keys are read:
+// row i's keys are keys[i*len(on):(i+1)*len(on)], and an index
+// permutation is sorted over them.
 func (e *Evaluator) SortIDs(ids []netstore.RecordID, on []string) ([]netstore.RecordID, error) {
-	type pair struct {
-		id  netstore.RecordID
-		rec *value.Record
-	}
-	pairs := make([]pair, len(ids))
+	n := len(on)
+	keys := make([]value.Value, len(ids)*n)
 	for i, id := range ids {
-		rec := e.db.Data(id)
-		if rec == nil {
+		if !e.db.Exists(id) {
 			return nil, fmt.Errorf("mdml: stale record %d in collection", id)
 		}
-		for _, f := range on {
-			if !rec.Has(f) {
+		for j, f := range on {
+			v, ok := e.db.Field(id, f)
+			if !ok {
 				return nil, fmt.Errorf("mdml: sort field %s not in record", f)
 			}
+			keys[i*n+j] = v
 		}
-		pairs[i] = pair{id, rec}
 	}
-	recs := make([]*value.Record, len(pairs))
-	order := make(map[*value.Record]netstore.RecordID, len(pairs))
-	for i, p := range pairs {
-		recs[i] = p.rec
-		order[p.rec] = p.id
+	perm := make([]int, len(ids))
+	for i := range perm {
+		perm[i] = i
 	}
-	value.SortRecords(recs, on)
-	out := make([]netstore.RecordID, len(recs))
-	for i, r := range recs {
-		out[i] = order[r]
+	slices.SortStableFunc(perm, func(a, b int) int {
+		ka, kb := keys[a*n:a*n+n], keys[b*n:b*n+n]
+		for j := range ka {
+			if c := value.CompareTotal(ka[j], kb[j]); c != 0 {
+				return c
+			}
+		}
+		return 0
+	})
+	out := make([]netstore.RecordID, len(ids))
+	for i, p := range perm {
+		out[i] = ids[p]
 	}
 	return out, nil
 }

@@ -123,6 +123,26 @@ func TestFindRendersAndReparses(t *testing.T) {
 	}
 }
 
+// TestFloatLiteralRoundTrip: a rendered FIND reparses to the same
+// literal kind and value; %g rendered 1000000.0 as 1e+06, which no
+// parser reads, and 7.0 as the Int 7.
+func TestFloatLiteralRoundTrip(t *testing.T) {
+	for _, lit := range []string{"7.0", "1000000.0", "0.00001", "-7.0"} {
+		f, err := ParseFind("FIND(EMP: SYSTEM, ALL-DIV, DIV, DIV-EMP, EMP(AGE = " + lit + "))")
+		if err != nil {
+			t.Fatal(err)
+		}
+		f2, err := ParseFind(f.String())
+		if err != nil {
+			t.Fatalf("%s: rendered FIND does not reparse: %v\n%s", lit, err, f)
+		}
+		a, b := f.Steps[4].Qual.(Cmp).Lit, f2.Steps[4].Qual.(Cmp).Lit
+		if a.Kind() != value.Float || b.Kind() != value.Float || a.AsFloat() != b.AsFloat() {
+			t.Errorf("%s: %v (%v) reparsed as %v (%v)", lit, a, a.Kind(), b, b.Kind())
+		}
+	}
+}
+
 func TestCollectionStart(t *testing.T) {
 	db := companyDB(t)
 	e := NewEvaluator(db)

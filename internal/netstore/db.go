@@ -225,6 +225,30 @@ func (db *DB) DataInto(id RecordID, out *value.Record) bool {
 	return true
 }
 
+// Field returns one field of the occurrence, stored or virtual (resolved
+// as Data resolves it), without building a record — the read the FIND
+// qualification and SORT paths make per candidate. ok is false exactly
+// when Data(id) would be nil or would lack the field.
+func (db *DB) Field(id RecordID, name string) (value.Value, bool) {
+	o, ok := db.recs[id]
+	if !ok {
+		return value.Value{}, false
+	}
+	return db.fieldOf(o, name)
+}
+
+// fieldOf is Field on an occurrence already looked up.
+func (db *DB) fieldOf(o *occurrence, name string) (value.Value, bool) {
+	f := o.typ.Field(name)
+	if f == nil {
+		return value.Value{}, false
+	}
+	if f.Virtual != nil {
+		return db.resolveVirtual(o, f), true
+	}
+	return o.data.MustGet(name), true
+}
+
 func (db *DB) resolveVirtual(o *occurrence, f *schema.Field) value.Value {
 	ownerID, connected := o.ownerIn(f.Virtual.ViaSet)
 	if !connected || ownerID == systemOwner {

@@ -126,22 +126,12 @@ func (s *Session) matches(o *occurrence, match *value.Record) bool {
 	if match == nil {
 		return true
 	}
-	var resolved *value.Record
 	for _, n := range match.Names() {
 		want := match.MustGet(n)
 		if want.IsNull() {
 			continue
 		}
-		f := o.typ.Field(n)
-		var got value.Value
-		if f.Virtual == nil {
-			got = o.data.MustGet(n)
-		} else {
-			if resolved == nil {
-				resolved = s.db.Data(o.id)
-			}
-			got = resolved.MustGet(n)
-		}
+		got, _ := s.db.fieldOf(o, n)
 		if !got.Equal(want) {
 			return false
 		}

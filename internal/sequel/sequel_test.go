@@ -182,6 +182,26 @@ func TestFloatLiteral(t *testing.T) {
 	}
 }
 
+// TestFloatLiteralRoundTrip: a rendered query reparses to the same
+// literal kind and value, including floats with no fractional part and
+// magnitudes %g would write with an exponent.
+func TestFloatLiteralRoundTrip(t *testing.T) {
+	for _, lit := range []string{"7.0", "1000000.0", "0.00001", "-7.0"} {
+		q, err := ParseQuery("SELECT E# FROM EMP WHERE AGE > " + lit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q2, err := ParseQuery(q.String())
+		if err != nil {
+			t.Fatalf("%s: rendered query does not reparse: %v\n%s", lit, err, q)
+		}
+		a, b := q.Where.(Cmp).Rhs.Lit, q2.Where.(Cmp).Rhs.Lit
+		if a.Kind() != value.Float || b.Kind() != value.Float || a.AsFloat() != b.AsFloat() {
+			t.Errorf("%s: %v (%v) reparsed as %v (%v)", lit, a, a.Kind(), b, b.Kind())
+		}
+	}
+}
+
 func TestQueryStringRendering(t *testing.T) {
 	q, err := ParseQuery("SELECT ENAME FROM EMP WHERE E# IN (SELECT E# FROM EMP-DEPT WHERE D# = 'D2' AND YEAR-OF-SERVICE = 3) OR AGE > :X")
 	if err != nil {

@@ -207,22 +207,26 @@ func (r *Record) String() string {
 }
 
 // CompareBy orders two records by the named fields, for set-key and SORT
-// orderings. Records incomparable on some field order by the field's
-// String form so that sorting is still total and deterministic.
+// orderings: the first field on which CompareTotal differs decides.
 func CompareBy(a, b *Record, fields []string) int {
 	for _, f := range fields {
-		av, bv := a.MustGet(f), b.MustGet(f)
-		if c, ok := av.Compare(bv); ok {
-			if c != 0 {
-				return c
-			}
-			continue
-		}
-		if c := strings.Compare(av.String(), bv.String()); c != 0 {
+		if c := CompareTotal(a.MustGet(f), b.MustGet(f)); c != 0 {
 			return c
 		}
 	}
 	return 0
+}
+
+// CompareTotal orders two field values for sorting: by Compare when the
+// pair is comparable, otherwise by the values' String forms, so that
+// sorting is still total and deterministic across incomparable kinds.
+// Every SORT ordering goes through it, whether it compares records or
+// extracted key values.
+func CompareTotal(a, b Value) int {
+	if c, ok := a.Compare(b); ok {
+		return c
+	}
+	return strings.Compare(a.String(), b.String())
 }
 
 // SortRecords sorts records in place by the given fields ascending.

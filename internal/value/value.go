@@ -151,9 +151,20 @@ func (v Value) String() string {
 }
 
 // Literal renders the value as a source-language literal (strings quoted).
+// A Float always carries a decimal point and never an exponent — 7.0, not
+// 7; 1000000.0, not 1e+06 — because the lexers read a number as a Float
+// exactly when it has a fractional part, and none of them reads an
+// exponent. String keeps the shorter %g form for PRINT output.
 func (v Value) Literal() string {
-	if v.kind == String {
+	switch v.kind {
+	case String:
 		return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
+	case Float:
+		s := strconv.FormatFloat(v.f, 'f', -1, 64)
+		if !strings.Contains(s, ".") {
+			s += ".0"
+		}
+		return s
 	}
 	return v.String()
 }

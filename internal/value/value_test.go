@@ -92,6 +92,22 @@ func TestLiteral(t *testing.T) {
 	if got := Of(3).Literal(); got != "3" {
 		t.Errorf("int literal = %q", got)
 	}
+	// A Float literal keeps its kind and never takes an exponent the
+	// lexers cannot read; String keeps the short PRINT form.
+	for _, tc := range []struct {
+		f         float64
+		lit, text string
+	}{
+		{7, "7.0", "7"}, {1e6, "1000000.0", "1e+06"}, {1e-5, "0.00001", "1e-05"},
+		{3.5, "3.5", "3.5"}, {-2, "-2.0", "-2"},
+	} {
+		if got := F(tc.f).Literal(); got != tc.lit {
+			t.Errorf("F(%v).Literal() = %q, want %q", tc.f, got, tc.lit)
+		}
+		if got := F(tc.f).String(); got != tc.text {
+			t.Errorf("F(%v).String() = %q, want %q", tc.f, got, tc.text)
+		}
+	}
 }
 
 func TestCompareNumericCross(t *testing.T) {
